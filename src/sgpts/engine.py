@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.stats import qmc
 
 from .benchmarks import Benchmark, NoiseModel
@@ -26,7 +25,6 @@ from .exact_gp import Dataset, concentration_radius, gamma_bound, information_ga
 from .kernels import (
     FeatureMap,
     KernelSpec,
-    kernel_matrix,
     mercer_truncate,
     rff_sample,
     tail_mass,
@@ -544,7 +542,4 @@ def _variance_defect(model: SvgpModel, fm: FeatureMap, data: Dataset) -> float:
     """Largest pointwise prior-variance shortfall of the rank-m approximation."""
     if model.variant == "features":
         return tail_mass(fm, model.m_count, fm.count)
-    C = kernel_matrix(model.spec, model.Z, data.X)
-    V = solve_triangular(model._chol_P, C, lower=True)
-    resid = model.spec.variance - np.sum(V * V, axis=0)
-    return float(max(np.max(resid), 0.0))
+    return float(max(np.max(model.nystrom_residual(data.X)), 0.0))

@@ -18,7 +18,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -111,11 +110,17 @@ class Dataset:
         data = rows[1:]
         if not data:
             raise InvalidInputError("dataset CSV has no rows")
-        X = np.array([[float(v) for v in r[2 : 2 + dim]] for r in data])
-        y = np.array([float(r[-1]) for r in data])
-        steps = int(data[-1][0])
-        bsz = len(data) // steps
-        return Dataset(X, y, bsz, steps)
+        try:
+            X = np.array([[float(v) for v in r[2 : 2 + dim]] for r in data])
+            y = np.array([float(r[-1]) for r in data])
+            sb = np.array([[int(r[0]), int(r[1])] for r in data])
+        except (ValueError, IndexError) as exc:
+            raise InvalidInputError(f"dataset CSV has a malformed row: {exc}") from exc
+        bsz = int(np.sum(sb[:, 0] == 1))
+        i = np.arange(len(data))
+        if bsz == 0 or not np.array_equal(sb, np.stack([i // bsz + 1, i % bsz + 1], axis=1)):
+            raise InvalidInputError("dataset CSV rows must run through equal batches in s,b order")
+        return Dataset(X, y, bsz, len(data) // bsz)
 
 
 class ExactPosterior:

@@ -114,10 +114,6 @@ def draw_sample(model: SvgpModel, fm: FeatureMap, alpha: float, seed: int) -> Sa
     return SampleFunction(model=model, fm=fm, alpha=alpha, w=w, v=v)
 
 
-def eval_sample(sample: SampleFunction, x) -> float:
-    return sample(x)
-
-
 def decoupled_mean_cov(
     model: SvgpModel, fm: FeatureMap, alpha: float, X, X2=None
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -1,40 +1,47 @@
 """Sparse variational GP surrogates with conjugate closed-form fits.
 
-Two inducing-variable families share one model type:
+Two inducing-variable families share one model type.  Each is described by
+the prior covariance P of the inducing variables u and the cross-covariance
+c(x) = cov(u, f(x)):
 
-* "points": inducing outputs u = f(Z) at m locations Z, prior N(0, K_ZZ).
-  Posterior predictive given q(u) = N(m, S):
-
-      mean(x)    = k(Z,x)^T K_ZZ^{-1} m
-      cov(x,x')  = k(x,x') + k(Z,x)^T K_ZZ^{-1} (S - K_ZZ) K_ZZ^{-1} k(Z,x')
-
+* "points": inducing outputs u = f(Z) at m locations Z, so P = K_ZZ and
+  c(x) = k(Z, x).
 * "features": inducing variables are the leading m eigenfunction integrals
-  of a Mercer expansion, prior N(0, Lambda_m) with Lambda_m diagonal, and
-  cov(u_j, f(x)) = lambda_j phi_j(x), so
+  of a Mercer expansion, so P = Lambda_m (diagonal) and
+  c(x) = Lambda_m phi_m(x).
 
-      mean(x)    = phi_m(x)^T m
-      cov(x,x')  = k(x,x') + phi_m(x)^T (S - Lambda_m) phi_m(x')
+Given q(u) = N(m, S) the posterior predictive is
+
+    mean(x)    = c(x)^T P^{-1} m
+    cov(x,x')  = k(x,x') - c(x)^T P^{-1} c(x') + c(x)^T P^{-1} S P^{-1} c(x')
 
 For Gaussian likelihoods with noise variance tau the optimal q(u) is closed
-form.  With C the m x n matrix of cov(u_i, f(x_j)) and P the prior covariance
-of u (K_ZZ or Lambda_m):
+form (Titsias 2009).  With C the m x n matrix of c at the training inputs:
 
     Sigma = P + C C^T / tau,   m = P Sigma^{-1} C y / tau,   S = P Sigma^{-1} P
 
-The fit caches the quantities predictions need in forms that avoid
-multiplying by P^{-1} twice, which keeps the Z = X collapse onto the exact
-posterior accurate even for ill-conditioned grams.
+Every model, fitted or not, is held in that one form: Sigma = P S^{-1} P,
+so that P^{-1} S P^{-1} = Sigma^{-1} and, with L_P and L_Sigma the lower
+Cholesky factors of P and Sigma,
+
+    mean(x)    = c(x)^T a,   a = P^{-1} m
+    cov(x,x')  = k(x,x') - (L_P^{-1} c(x))^T (L_P^{-1} c(x'))
+                         + (L_Sigma^{-1} c(x))^T (L_Sigma^{-1} c(x'))
+
+Only triangular solves are involved and nothing is multiplied by P^{-1}
+twice, which keeps the Z = X collapse onto the exact posterior accurate even
+for ill-conditioned grams.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import (
     ExplorationInfeasibleError,
@@ -43,7 +50,7 @@ from .errors import (
     UnsupportedDecompositionError,
 )
 from .exact_gp import Dataset, fit_exact
-from .kernels import FeatureMap, KernelSpec, kernel_matrix, mercer_truncate, rff_sample
+from .kernels import FeatureMap, KernelSpec, kernel_matrix, mercer_truncate
 from .util import chol_psd, clamp_variance, rng_from_path
 
 
@@ -53,6 +60,22 @@ class SvgpModel:
 
     Exactly one of Z (points variant) or feature_map+m_count (features
     variant) is set.  m_vec and S_mat are the moments of q(u).
+
+    Predictions read three caches: _a = P^{-1} m, _chol_P = L_P and
+    _chol_Sigma = L_Sigma for Sigma = P S^{-1} P.  Closed-form fits pass the
+    ones they compute anyway; the prior model passes _chol_Sigma = _chol_P,
+    since Sigma = P when there is no data.  Any other construction (a
+    snapshot, a perturbed model) leaves them unset, and __post_init__ derives
+    all three from (m_vec, S_mat): L_P = chol(P), a by a Cholesky solve, and
+    Sigma = G^T G with G = L_S^{-1} P.
+
+    Draws read m_vec and S_mat through eigh(S) and _chol_P through
+    cho_solve, and the believed-best pick reads _a, so run logs carry their
+    exact bits.  The fit therefore keeps m_vec = P (Sigma^{-1} C y) / tau,
+    S_mat = P Sigma^{-1} P with an explicit Sigma^{-1}, _a = Sigma^{-1} C y
+    / tau and _chol_P = chol(P) as written: algebraically equal forms, such
+    as S_mat = G^T G with G = L_Sigma^{-1} P, round differently and change
+    recorded run logs.
     """
 
     spec: KernelSpec
@@ -62,15 +85,9 @@ class SvgpModel:
     Z: Optional[np.ndarray] = None
     feature_map: Optional[FeatureMap] = None
     m_count: int = 0
-    # prediction caches: mean(x) = c(x)^T _a, cov correction = c(x)^T _B c(x')
     _a: Optional[np.ndarray] = None
-    _B: Optional[np.ndarray] = None
     _chol_P: Optional[np.ndarray] = None
-    # closed-form fits also carry the Cholesky factor of Sigma = P + C C^T/tau
-    # so covariance corrections go through triangular solves, which stay
-    # accurate when the inducing gram is nearly singular (Z = X collapse)
     _chol_Sigma: Optional[np.ndarray] = None
-    _sol: Optional[np.ndarray] = None           # Sigma^{-1} C y / tau
 
     def __post_init__(self):
         if (self.Z is None) == (self.feature_map is None):
@@ -94,14 +111,10 @@ class SvgpModel:
         self.S_mat = np.asarray(self.S_mat, dtype=float).reshape(m, m)
         if self._a is None:
             P = self.prior_cov()
-            if self.variant == "points":
-                self._chol_P = chol_psd(P)
-                self._a = cho_solve((self._chol_P, True), self.m_vec)
-                Pi = cho_solve((self._chol_P, True), np.eye(m))
-                self._B = Pi @ (self.S_mat - P) @ Pi
-            else:
-                self._a = self.m_vec.copy()
-                self._B = self.S_mat - P
+            self._chol_P = chol_psd(P)
+            self._a = cho_solve((self._chol_P, True), self.m_vec)
+            G = solve_triangular(chol_psd(self.S_mat), P, lower=True)
+            self._chol_Sigma = chol_psd(G.T @ G)
 
     @property
     def variant(self) -> str:
@@ -112,39 +125,36 @@ class SvgpModel:
             return kernel_matrix(self.spec, self.Z)
         return np.diag(self.feature_map.lambdas[: self.m_count])
 
-    def _cross(self, X: np.ndarray) -> np.ndarray:
-        """c(x) columns: k(Z, x) for points, phi_m(x) for features."""
+    def _cross(self, X) -> np.ndarray:
+        """c(x) = cov(u, f(x)) per column: k(Z, x), or lambda_j phi_j(x) for features."""
         if self.variant == "points":
             return kernel_matrix(self.spec, self.Z, X)
-        return self.feature_map.features(X)[:, : self.m_count].T
+        lam = self.feature_map.lambdas[: self.m_count]
+        return lam[:, None] * self.feature_map.features(X)[:, : self.m_count].T
+
+    def _whiten(self, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (solve_triangular(self._chol_P, C, lower=True),
+                solve_triangular(self._chol_Sigma, C, lower=True))
+
+    def nystrom_residual(self, X) -> np.ndarray:
+        """k(x,x) - c(x)^T P^{-1} c(x) per row of X: prior variance the inducing set misses."""
+        V = solve_triangular(self._chol_P, self._cross(X), lower=True)
+        return self.spec.variance - np.sum(V * V, axis=0)
 
     def predict(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at each row of X."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         C = self._cross(X)
-        mean = C.T @ self._a
-        if self.variant == "points" and self._chol_Sigma is not None:
-            V = solve_triangular(self._chol_P, C, lower=True)
-            W = solve_triangular(self._chol_Sigma, C, lower=True)
-            var = self.spec.variance - np.sum(V * V, axis=0) + np.sum(W * W, axis=0)
-        else:
-            # features variant: C is phi and _B = S - Lambda, no inverses involved
-            var = self.spec.variance + np.sum(C * (self._B @ C), axis=0)
-        return mean, clamp_variance(var)
+        V, W = self._whiten(C)
+        var = self.spec.variance - np.sum(V * V, axis=0) + np.sum(W * W, axis=0)
+        return C.T @ self._a, clamp_variance(var)
 
     def cov(self, X, X2=None) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         X2m = X if X2 is None else np.atleast_2d(np.asarray(X2, dtype=float))
-        Ca = self._cross(X)
-        Cb = Ca if X2 is None else self._cross(X2m)
-        prior = kernel_matrix(self.spec, X, X2m)
-        if self.variant == "points" and self._chol_Sigma is not None:
-            Va = solve_triangular(self._chol_P, Ca, lower=True)
-            Wa = solve_triangular(self._chol_Sigma, Ca, lower=True)
-            Vb = Va if X2 is None else solve_triangular(self._chol_P, Cb, lower=True)
-            Wb = Wa if X2 is None else solve_triangular(self._chol_Sigma, Cb, lower=True)
-            return prior - Va.T @ Vb + Wa.T @ Wb
-        return prior + Ca.T @ self._B @ Cb
+        Va, Wa = self._whiten(self._cross(X))
+        Vb, Wb = (Va, Wa) if X2 is None else self._whiten(self._cross(X2m))
+        return kernel_matrix(self.spec, X, X2m) - Va.T @ Vb + Wa.T @ Wb
 
 
 def predict_svgp(model: SvgpModel, x, x2=None) -> tuple[float, float]:
@@ -154,28 +164,26 @@ def predict_svgp(model: SvgpModel, x, x2=None) -> tuple[float, float]:
     return float(mean[0]), float(covv[0, 0])
 
 
-def _cross_cov(data, spec, tau, Z, feature_map, m):
-    """Returns (P, C, variant metadata) for whichever inducing family is set."""
+def _prior_model(spec, tau, Z, feature_map, m) -> SvgpModel:
+    """q(u) = N(0, P) for whichever inducing family is set, caches filled."""
     if (Z is None) == (feature_map is None):
         raise InvalidInputError("supply exactly one of Z or feature_map")
     if Z is not None:
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         P = kernel_matrix(spec, Z)
-        C = kernel_matrix(spec, Z, data.X) if data.n else np.zeros((Z.shape[0], 0))
-        return P, C, Z, None, Z.shape[0]
-    if m is None:
-        raise InvalidInputError("features variant needs m")
-    if feature_map.kind != "mercer":
-        raise UnsupportedDecompositionError("the features variant needs an eigen-expansion map")
-    if not 1 <= m <= feature_map.count:
-        raise InvalidInputError("m must lie in [1, feature_map.count]")
-    lam = feature_map.lambdas[:m]
-    P = np.diag(lam)
-    if data.n:
-        C = lam[:, None] * feature_map.features(data.X)[:, :m].T
     else:
-        C = np.zeros((m, 0))
-    return P, C, None, feature_map, m
+        if m is None:
+            raise InvalidInputError("features variant needs m")
+        if feature_map.kind != "mercer":
+            raise UnsupportedDecompositionError("the features variant needs an eigen-expansion map")
+        if not 1 <= m <= feature_map.count:
+            raise InvalidInputError("m must lie in [1, feature_map.count]")
+        P = np.diag(feature_map.lambdas[:m])
+    mc = P.shape[0]
+    cP = chol_psd(P)
+    return SvgpModel(spec=spec, tau=tau, m_vec=np.zeros(mc), S_mat=P, Z=Z,
+                     feature_map=feature_map, m_count=mc,
+                     _a=np.zeros(mc), _chol_P=cP, _chol_Sigma=cP)
 
 
 def fit_svgp_closed_form(
@@ -187,106 +195,52 @@ def fit_svgp_closed_form(
     m: Optional[int] = None,
 ) -> SvgpModel:
     """Optimal q(u) for the conjugate likelihood; prior moments when data is empty."""
-    if tau <= 0:
-        raise InvalidInputError("tau must be positive")
-    P, C, Zp, fm, mc = _cross_cov(data, spec, tau, Z, feature_map, m)
+    prior = _prior_model(spec, tau, Z, feature_map, m)
     if data.n == 0:
-        return SvgpModel(spec=spec, tau=tau, m_vec=np.zeros(mc), S_mat=P, Z=Zp,
-                         feature_map=fm, m_count=mc)
-    Sigma = P + (C @ C.T) / tau
-    try:
-        cf = cho_factor(Sigma, lower=True)
-    except np.linalg.LinAlgError:
-        cf = cho_factor(Sigma + 1e-10 * np.eye(mc), lower=True)
-    sol_y = cho_solve(cf, C @ data.y)
-    m_vec = P @ sol_y / tau
-    Sigma_inv = cho_solve(cf, np.eye(mc))
-    S_mat = P @ Sigma_inv @ P
-    S_mat = 0.5 * (S_mat + S_mat.T)
-
-    cSigma = np.tril(cf[0]) if cf[1] else np.tril(cf[0].T)
-    sol = sol_y / tau
-    if Zp is not None:
-        # the mean cache K_ZZ^{-1} m reduces to Sigma^{-1} C y / tau, no
-        # gram inverse involved; covariance goes through the stored factors
-        cP = chol_psd(P)
-        Bmat = Sigma_inv - cho_solve((cP, True), np.eye(mc))
-        return SvgpModel(spec=spec, tau=tau, m_vec=m_vec, S_mat=S_mat, Z=Zp,
-                         _a=sol, _B=Bmat, _chol_P=cP, _chol_Sigma=cSigma, _sol=sol)
-    return SvgpModel(spec=spec, tau=tau, m_vec=m_vec, S_mat=S_mat,
-                     feature_map=fm, m_count=mc,
-                     _a=m_vec.copy(), _B=S_mat - P,
-                     _chol_P=np.diag(np.sqrt(np.diag(P))), _chol_Sigma=cSigma, _sol=sol)
+        return prior
+    P = prior.S_mat
+    C = prior._cross(data.X)
+    cSigma = chol_psd(P + (C @ C.T) / tau)
+    sol_y = cho_solve((cSigma, True), C @ data.y)
+    S_mat = P @ cho_solve((cSigma, True), np.eye(prior.m_count)) @ P
+    # the mean cache P^{-1} m reduces to Sigma^{-1} C y / tau, no gram inverse involved
+    return replace(prior, m_vec=P @ sol_y / tau, S_mat=0.5 * (S_mat + S_mat.T),
+                   _a=sol_y / tau, _chol_Sigma=cSigma)
 
 
 def elbo(data: Dataset, model: SvgpModel) -> float:
     """Evidence lower bound at (m_vec, S_mat); zero observations return 0.
 
-    Gaussian-likelihood form: per-point expected log density minus the
-    posterior-variance penalties, minus KL(q(u) || prior).  At the
-    closed-form optimum this equals the collapsed bound
+    Gaussian-likelihood form: per-point expected log density, i.e. the log
+    density at the posterior mean minus the posterior variance over 2 tau,
+    minus KL(q(u) || prior).  With S = P Sigma^{-1} P the KL term reads
+
+        1/2 (||L_Sigma^{-1} L_P||_F^2 + m^T P^{-1} m - m_count
+             + log det Sigma - log det P)
+
+    At the closed-form optimum the bound equals the collapsed expression
     -1/2 y^T (Q + tau I)^{-1} y - 1/2 log det(Q + tau I) - (n/2) log 2 pi
     - theta / (2 tau).
     """
     if data.n == 0:
         return 0.0
     tau = model.tau
-    P = model.prior_cov()
-    mc = model.m_count
-    C = _cross_of(model, data.X)
-    if model.variant == "points":
-        A = cho_solve((model._chol_P, True), C)     # K_ZZ^{-1} k(Z, x_i) per column
-    else:
-        A = model.feature_map.features(data.X)[:, :mc].T
-    mu = A.T @ model.m_vec
-    q_ii = np.sum(C * A, axis=0)
-    k_ii = np.full(data.n, model.spec.variance)
-    resid = np.maximum(k_ii - q_ii, 0.0)
-    s_ii = np.sum(A * (model.S_mat @ A), axis=0)
+    mu, var = model.predict(data.X)
     fit_term = -0.5 * data.n * math.log(2.0 * math.pi * tau)
-    fit_term -= float(np.sum((data.y - mu) ** 2)) / (2.0 * tau)
-    penalty = (float(np.sum(resid)) + float(np.sum(s_ii))) / (2.0 * tau)
-
-    if model._chol_Sigma is not None:
-        # S = P Sigma^{-1} P collapses the KL term to quantities of Sigma,
-        # which stays well-conditioned even when the prior gram does not
-        tr = float(np.trace(cho_solve((model._chol_Sigma, True), P)))
-        mPm = float(model.m_vec @ model._sol)
-        logdet_Sigma = 2.0 * float(np.sum(np.log(np.diag(model._chol_Sigma))))
-        logdet_P = 2.0 * float(np.sum(np.log(np.diag(model._chol_P))))
-        kl = 0.5 * (tr + mPm - mc + logdet_Sigma - logdet_P)
-    else:
-        cP = chol_psd(P)
-        cS = chol_psd(model.S_mat)
-        Pinv_S = cho_solve((cP, True), model.S_mat)
-        mPm = model.m_vec @ cho_solve((cP, True), model.m_vec)
-        logdet_P = 2.0 * float(np.sum(np.log(np.diag(cP))))
-        logdet_S = 2.0 * float(np.sum(np.log(np.diag(cS))))
-        kl = 0.5 * (np.trace(Pinv_S) + mPm - mc + logdet_P - logdet_S)
-    return fit_term - penalty - float(kl)
-
-
-def _cross_of(model: SvgpModel, X: np.ndarray) -> np.ndarray:
-    if model.variant == "points":
-        return kernel_matrix(model.spec, model.Z, X)
-    lam = model.feature_map.lambdas[: model.m_count]
-    return lam[:, None] * model.feature_map.features(X)[:, : model.m_count].T
+    fit_term -= float(np.sum((data.y - mu) ** 2) + np.sum(var)) / (2.0 * tau)
+    R = solve_triangular(model._chol_Sigma, model._chol_P, lower=True)
+    logdet_Sigma = 2.0 * float(np.sum(np.log(np.diag(model._chol_Sigma))))
+    logdet_P = 2.0 * float(np.sum(np.log(np.diag(model._chol_P))))
+    kl = 0.5 * (float(np.sum(R * R)) + float(model.m_vec @ model._a) - model.m_count
+                + logdet_Sigma - logdet_P)
+    return fit_term - kl
 
 
 def trace_residual(data: Dataset, model: SvgpModel) -> float:
     """theta = trace of the Nystrom residual K_XX - C^T P^{-1} C at the training inputs."""
     if data.n == 0:
         return 0.0
-    C = _cross_of(model, data.X)
-    if model.variant == "points":
-        V = solve_triangular(model._chol_P, C, lower=True)
-        q_ii = np.sum(V * V, axis=0)
-    else:
-        lam = model.feature_map.lambdas[: model.m_count]
-        Phi = model.feature_map.features(data.X)[:, : model.m_count]
-        q_ii = np.sum(lam * Phi * Phi, axis=1)
-    theta = float(np.sum(np.full(data.n, model.spec.variance) - q_ii))
-    return max(theta, 0.0)
+    return max(float(np.sum(model.nystrom_residual(data.X))), 0.0)
 
 
 def kl_to_exact(data: Dataset, model: SvgpModel, grid=None) -> float:

@@ -10,7 +10,7 @@ independent of call order.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.linalg import cholesky
 
 from .errors import InvalidInputError, NumericalDegeneracyError
 
@@ -40,18 +40,6 @@ def chol_psd(mat: np.ndarray):
         raise NumericalDegeneracyError(
             f"Cholesky failed for {mat.shape[0]}x{mat.shape[0]} matrix even with jitter"
         ) from exc
-
-
-def solve_psd(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve mat @ x = rhs for symmetric positive-definite mat, jitter retry included."""
-    try:
-        return cho_solve(cho_factor(mat, lower=True), rhs)
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        return cho_solve(cho_factor(mat + JITTER * np.eye(mat.shape[0]), lower=True), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError("linear solve failed even with jitter") from exc
 
 
 def as_box(lower, upper) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,8 @@ from sgpts.exact_gp import Dataset, batch_sigma_bound
 from sgpts.kernels import KernelSpec
 from sgpts.svgp import fit_svgp_closed_form
 from sgpts.util import rng_from_path
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def tiny_cfg(**kw):
@@ -452,3 +457,15 @@ class TestBaselineTraceCompat:
         ours = run_sgp_ts(tiny_cfg(), bench, seed=0)
         theirs = random_search(bench, 0.01, budget=12, seed=0, batch_size=3)
         assert ours.to_csv().splitlines()[0] == theirs.to_csv().splitlines()[0]
+
+
+class TestRecordedRunLogs:
+    @pytest.mark.parametrize("config", ["multimodal1d", "theoretical"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_run_csv_matches_recorded_digest(self, config, seed):
+        """Shipped configs reproduce the run-CSV digests the benchmark records."""
+        digests = json.loads((REPO / "perfbench" / "digests.json").read_text())
+        cfg = parse_config((REPO / "configs" / f"{config}.cfg").read_text())
+        log = run_sgp_ts(cfg, get_benchmark(cfg.objective), seed)
+        got = hashlib.sha256(log.to_csv().encode()).hexdigest()
+        assert got == digests[f"{config}:{seed}"]

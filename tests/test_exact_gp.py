@@ -123,6 +123,19 @@ class TestDataset:
         assert np.array_equal(back.y, data.y)
         assert (back.batch_size, back.steps) == (4, 3)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["0,1,0.1,0.5"],                                             # step 0
+            ["1,1,0.1,0.5", "2,1,0.2,0.6", "2,2,0.3,0.7", "2,3,0.4,0.8"],  # batches of 1 and 3
+            ["a,1,0.1,0.5"],                                             # non-numeric step
+        ],
+        ids=["s-zero", "unequal-batches", "non-numeric-s"],
+    )
+    def test_csv_inconsistent_steps_rejected(self, rows):
+        with pytest.raises(InvalidInputError):
+            Dataset.from_csv("\n".join(["s,b,x_1,y"] + rows) + "\n")
+
     def test_csv_header(self):
         data = make_data(np.random.default_rng(7), n=4, dim=2, bsz=2)
         assert data.to_csv().splitlines()[0] == "s,b,x_1,x_2,y"

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import sgpts.util
 from sgpts.errors import (
     ExplorationInfeasibleError,
     InvalidInputError,
+    NumericalDegeneracyError,
     UnsupportedDecompositionError,
 )
 from sgpts.exact_gp import Dataset, fit_exact
@@ -109,6 +111,21 @@ class TestClosedForm:
         fm = rff_sample(SE1, 16, seed=0)
         with pytest.raises(UnsupportedDecompositionError):
             fit_svgp_closed_form(data, SE1, 0.2, feature_map=fm, m=8)
+
+    def test_sigma_factorization_failure_raises(self, monkeypatch):
+        data = spread_data(np.random.default_rng(5), 8)
+        fm = mercer_truncate(SE1, 40, [0.0], [1.0])
+        real = sgpts.util.cholesky
+
+        def fail_off_diagonal(a, **kw):
+            # the prior Lambda_m is diagonal; only Sigma = Lambda_m + C C^T / tau is refused
+            if np.count_nonzero(a - np.diag(np.diag(a))):
+                raise np.linalg.LinAlgError("forced failure")
+            return real(a, **kw)
+
+        monkeypatch.setattr(sgpts.util, "cholesky", fail_off_diagonal)
+        with pytest.raises(NumericalDegeneracyError):
+            fit_svgp_closed_form(data, SE1, 0.3, feature_map=fm, m=10)
 
 
 class TestElbo:
@@ -350,6 +367,8 @@ class TestSnapshot:
         m1, v1 = back.predict(Xq)
         assert np.abs(m0 - m1).max() < 1e-12
         assert np.abs(v0 - v1).max() < 1e-12
+        assert np.abs(model.cov(Xq) - back.cov(Xq)).max() < 1e-12
+        assert abs(elbo(data, model) - elbo(data, back)) < 1e-12
 
     def test_features_round_trip(self):
         rng = np.random.default_rng(23)
@@ -360,6 +379,8 @@ class TestSnapshot:
         Xq = rng.uniform(0, 1, size=(6, 1))
         assert np.allclose(back.predict(Xq)[0], model.predict(Xq)[0], atol=1e-12)
         assert np.allclose(back.predict(Xq)[1], model.predict(Xq)[1], atol=1e-12)
+        assert np.abs(model.cov(Xq) - back.cov(Xq)).max() < 1e-12
+        assert abs(elbo(data, model) - elbo(data, back)) < 1e-12
 
     def test_missing_field_rejected(self):
         with pytest.raises(InvalidInputError):
