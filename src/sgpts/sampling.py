@@ -15,6 +15,14 @@ inducing points, and w_m the leading m prior weights.  Any alpha >= 1 scales
 the deviation around the posterior mean without moving the mean: substituting
 u = m, w = 0 gives exactly the model mean for every alpha.
 
+Work is split three ways.  Once per draw set-up, that is per call of
+draw_sample, select_batch or decoupled_mean_cov: the checks on alpha and on
+the feature map, the root of S from its eigendecomposition, sqrt(lambda), and
+for points Phi.  Once per draw: w, u and the solve for v.  Once per set of
+evaluation points: the basis (F, U), with F the prior features and U = k(X, Z)
+for points or the leading m columns of F for features; select_batch builds
+the grid's basis once and evaluates all B draws on it.
+
 Seed scheme: step seed = hash(run_seed, t), draw seed = hash(step_seed, b),
 with hash = the first output word of numpy's SeedSequence over the integer
 pair.  Identical paths give identical draws on every platform.
@@ -43,39 +51,48 @@ def derive_seed(*path: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _draw_u(model: SvgpModel, rng: np.random.Generator) -> np.ndarray:
-    """One sample from q(u); S factored by symmetric eigendecomposition."""
-    vals, vecs = np.linalg.eigh(model.S_mat)
-    root = vecs * np.sqrt(np.maximum(vals, 0.0))
-    return model.m_vec + root @ rng.standard_normal(model.m_count)
+class _DrawSetup:
+    """Seed-independent part of every draw from one (model, feature map, alpha)."""
+
+    def __init__(self, model: SvgpModel, fm: FeatureMap, alpha: float):
+        if alpha < 1.0:
+            raise InvalidInputError("alpha must be >= 1")
+        if fm.dim != model.spec.dim:
+            raise InvalidInputError("feature map dimension does not match the model")
+        if model.variant == "features":
+            own, m = model.feature_map, model.m_count
+            if (fm.kind != "mercer" or fm.count < m or fm.origin != own.origin
+                    or not np.array_equal(fm.lambdas[:m], own.lambdas[:m])):
+                raise InvalidInputError(
+                    "features-variant draws need the model's own eigen-expansion map"
+                )
+        self.model, self.fm, self.alpha = model, fm, alpha
+        vals, vecs = np.linalg.eigh(model.S_mat)
+        self.root = vecs * np.sqrt(np.maximum(vals, 0.0))    # S = root root^T
+        self.rootlam = np.sqrt(fm.lambdas)
+        self.Phi = fm.features(model.Z) if model.variant == "points" else None   # (m, M)
+
+    def draw(self, rng: np.random.Generator) -> SampleFunction:
+        """One draw; rng consumed in the order w then u."""
+        model, alpha = self.model, self.alpha
+        w = rng.standard_normal(self.fm.count)
+        u = model.m_vec + self.root @ rng.standard_normal(model.m_count)
+        centered = alpha * (u - model.m_vec) + model.m_vec
+        rootlam_w = self.rootlam * w
+        if model.variant == "points":
+            v = cho_solve((model._chol_P, True), centered - alpha * self.Phi @ rootlam_w)
+        else:
+            m = model.m_count
+            v = (centered - alpha * rootlam_w[:m]) / model.feature_map.lambdas[:m]
+        return SampleFunction(model=model, fm=self.fm, alpha=alpha, w=w, v=v)
 
 
-def _check_fm(model: SvgpModel, fm: FeatureMap):
-    if fm.dim != model.spec.dim:
-        raise InvalidInputError("feature map dimension does not match the model")
-    if model.variant == "features":
-        own = model.feature_map
-        if fm.kind != "mercer" or fm.count < model.m_count or fm.origin != own.origin:
-            raise InvalidInputError(
-                "features-variant draws need the model's own eigen-expansion map"
-            )
-
-
-def _draw_coeffs(model: SvgpModel, fm: FeatureMap, alpha: float, rng) -> tuple[np.ndarray, np.ndarray]:
-    """(w, v) for one draw; rng consumed in the order w then u."""
-    w = rng.standard_normal(fm.count)
-    u = _draw_u(model, rng)
-    centered = alpha * (u - model.m_vec) + model.m_vec
-    rootlam_w = np.sqrt(fm.lambdas) * w
+def _basis(model: SvgpModel, fm: FeatureMap, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F, U) at X: the prior features and the update basis of either variant."""
+    F = fm.features(X)
     if model.variant == "points":
-        Phi = fm.features(model.Z)                    # (m, M)
-        rhs = centered - alpha * Phi @ rootlam_w
-        v = cho_solve((model._chol_P, True), rhs)
-    else:
-        m = model.m_count
-        lam = model.feature_map.lambdas[:m]
-        v = (centered - alpha * rootlam_w[:m]) / lam
-    return w, v
+        return F, kernel_matrix(model.spec, X, model.Z)
+    return F, F[:, : model.m_count]
 
 
 @dataclass(frozen=True)
@@ -88,17 +105,16 @@ class SampleFunction:
     w: np.ndarray
     v: np.ndarray
 
-    def eval_many(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        F = self.fm.features(X)
+    def _on_basis(self, F: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """Draw values at the points whose basis _basis returned as (F, U)."""
         prior_part = self.alpha * (F @ (np.sqrt(self.fm.lambdas) * self.w))
         if self.model.variant == "points":
-            update = kernel_matrix(self.model.spec, X, self.model.Z) @ self.v
-        else:
-            m = self.model.m_count
-            lam = self.model.feature_map.lambdas[:m]
-            update = F[:, :m] @ (lam * self.v)
-        return prior_part + update
+            return prior_part + U @ self.v
+        return prior_part + U @ (self.model.feature_map.lambdas[: self.model.m_count] * self.v)
+
+    def eval_many(self, X) -> np.ndarray:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return self._on_basis(*_basis(self.model, self.fm, X))
 
     def __call__(self, x) -> float:
         return float(self.eval_many(x)[0])
@@ -106,12 +122,7 @@ class SampleFunction:
 
 def draw_sample(model: SvgpModel, fm: FeatureMap, alpha: float, seed: int) -> SampleFunction:
     """One decoupled draw; fresh u and w every call, keyed by the seed."""
-    if alpha < 1.0:
-        raise InvalidInputError("alpha must be >= 1")
-    _check_fm(model, fm)
-    rng = np.random.default_rng(seed)
-    w, v = _draw_coeffs(model, fm, alpha, rng)
-    return SampleFunction(model=model, fm=fm, alpha=alpha, w=w, v=v)
+    return _DrawSetup(model, fm, alpha).draw(np.random.default_rng(seed))
 
 
 def decoupled_mean_cov(
@@ -124,9 +135,7 @@ def decoupled_mean_cov(
     posterior covariance only through the spectral truncation of the prior
     part, which is what the eps deviation constant accounts for.
     """
-    if alpha < 1.0:
-        raise InvalidInputError("alpha must be >= 1")
-    _check_fm(model, fm)
+    setup = _DrawSetup(model, fm, alpha)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     X2m = X if X2 is None else np.atleast_2d(np.asarray(X2, dtype=float))
     mean = model.predict(X)[0]
@@ -138,9 +147,8 @@ def decoupled_mean_cov(
         Hb = Ha if X2 is None else cho_solve(
             (model._chol_P, True), kernel_matrix(model.spec, model.Z, X2m)
         )
-        Phi = fm.features(model.Z)
-        Ga = Fa.T - Phi.T @ Ha                      # residual feature coords
-        Gb = Ga if X2 is None else Fb.T - Phi.T @ Hb
+        Ga = Fa.T - setup.Phi.T @ Ha                # residual feature coords
+        Gb = Ga if X2 is None else Fb.T - setup.Phi.T @ Hb
         cov = (Ga * lam[:, None]).T @ Gb + Ha.T @ model.S_mat @ Hb
     else:
         m = model.m_count
@@ -208,24 +216,10 @@ def select_batch(
     """
     if B < 1:
         raise InvalidInputError("B must be >= 1")
-    if alpha < 1.0:
-        raise InvalidInputError("alpha must be >= 1")
-    _check_fm(model, fm)
-    F = fm.features(grid.points)
-    rootlam = np.sqrt(fm.lambdas)
-    if model.variant == "points":
-        Kg = kernel_matrix(model.spec, grid.points, model.Z)
-    else:
-        m = model.m_count
-        lam_m = model.feature_map.lambdas[:m]
+    setup = _DrawSetup(model, fm, alpha)
+    F, U = _basis(model, fm, grid.points)
     idx = np.empty(B, dtype=int)
     for b in range(B):
-        rng = np.random.default_rng(derive_seed(step_seed, b))
-        w, v = _draw_coeffs(model, fm, alpha, rng)
-        vals = alpha * (F @ (rootlam * w))
-        if model.variant == "points":
-            vals += Kg @ v
-        else:
-            vals += F[:, :m] @ (lam_m * v)
-        idx[b] = int(np.argmax(vals))
+        sample = setup.draw(np.random.default_rng(derive_seed(step_seed, b)))
+        idx[b] = int(np.argmax(sample._on_basis(F, U)))
     return grid.points[idx], idx

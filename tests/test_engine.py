@@ -469,3 +469,11 @@ class TestRecordedRunLogs:
         log = run_sgp_ts(cfg, get_benchmark(cfg.objective), seed)
         got = hashlib.sha256(log.to_csv().encode()).hexdigest()
         assert got == digests[f"{config}:{seed}"]
+
+    def test_rff_kmeans_batch_run_matches_recorded_digest(self):
+        """hartmann6 with its grid capped at 8000: RFF features, k-means inducing points, B = 20."""
+        digests = json.loads((REPO / "perfbench" / "digests.json").read_text())
+        cfg = parse_config((REPO / "configs" / "hartmann6.cfg").read_text(), ("grid_cap=8000",))
+        log = run_sgp_ts(cfg, get_benchmark(cfg.objective), 0)
+        got = hashlib.sha256(log.to_csv().encode()).hexdigest()
+        assert got == digests["hartmann6-cap8000:0"]

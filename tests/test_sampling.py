@@ -3,7 +3,7 @@ import pytest
 
 from sgpts.errors import InvalidInputError
 from sgpts.exact_gp import Dataset, fit_exact
-from sgpts.kernels import KernelSpec, mercer_truncate, rff_sample, tail_mass
+from sgpts.kernels import FeatureMap, KernelSpec, mercer_truncate, rff_sample, tail_mass
 from sgpts.sampling import (
     SampleFunction,
     build_grid,
@@ -31,24 +31,35 @@ def fitted_features_model(rng, fm, m=10, n=10, tau=0.2):
     return data, fit_svgp_closed_form(data, SE1, tau, feature_map=fm, m=m)
 
 
+VARIANT_CASES = ["points-mercer", "points-rff", "features-mercer"]
+
+
+def fitted_case(case, rng):
+    """(model, fm) for one variant and feature-map kind; draws take the same fm."""
+    if case == "points-rff":
+        fm = rff_sample(SE1, 64, seed=3)
+    else:
+        fm = mercer_truncate(SE1, 64, [0.0], [1.0])
+    if case.startswith("points"):
+        return fitted_points_model(rng)[1], fm
+    return fitted_features_model(rng, fm)[1], fm
+
+
 class TestMeanInvariance:
-    def test_zero_noise_coefficients_reproduce_model_mean(self):
+    @pytest.mark.parametrize("case", VARIANT_CASES)
+    def test_zero_noise_coefficients_reproduce_model_mean(self, case):
         # substitute u = m, w = 0: the draw collapses to the posterior mean
         rng = np.random.default_rng(0)
-        data, model = fitted_points_model(rng)
-        fm = mercer_truncate(SE1, 64, [0.0], [1.0])
+        model, fm = fitted_case(case, rng)
         probes = np.linspace(0, 1, 17).reshape(-1, 1)
+        # v = P^{-1} m for points, Lambda_m^{-1} m for features
+        if model.variant == "points":
+            v = np.linalg.solve(model._chol_P @ model._chol_P.T, model.m_vec)
+        else:
+            v = model.m_vec / model.feature_map.lambdas[: model.m_count]
+        want = model.predict(probes)[0]
         for alpha in (1.0, 2.7):
-            sample = draw_sample(model, fm, alpha, seed=1)
-            # rebuild with u := m_vec, w := 0 through the same coefficient path
-            centered = model.m_vec
-            v = np.asarray(
-                np.linalg.solve(
-                    model._chol_P @ model._chol_P.T, centered
-                )
-            )
             quiet = SampleFunction(model=model, fm=fm, alpha=alpha, w=np.zeros(fm.count), v=v)
-            want = model.predict(probes)[0]
             assert np.abs(quiet.eval_many(probes) - want).max() < 1e-8
 
     def test_monte_carlo_mean_matches_for_alpha_2(self):
@@ -152,6 +163,27 @@ class TestAnalyticCovariance:
             draw_sample(model, fm, 0.5, seed=0)
         with pytest.raises(InvalidInputError):
             decoupled_mean_cov(model, fm, 0.99, np.array([[0.5]]))
+        grid = build_grid([0.0], [1.0], t=2, lipschitz=1.0, cap=100)
+        with pytest.raises(InvalidInputError):
+            select_batch(model, fm, grid, B=2, alpha=0.99, step_seed=0)
+        with pytest.raises(InvalidInputError):
+            select_batch(model, fm, grid, B=0, alpha=1.0, step_seed=0)
+
+    def test_rejects_another_kernels_eigen_map(self):
+        # same box, same kind and count, but the eigenpairs of lengthscale 0.6
+        rng = np.random.default_rng(12)
+        fm = mercer_truncate(SE1, 32, [0.0], [1.0])
+        data, model = fitted_features_model(rng, fm)
+        other = mercer_truncate(KernelSpec(family="se", dim=1, lengthscales=(0.6,)),
+                                32, [0.0], [1.0])
+        assert other.origin == fm.origin
+        grid = build_grid([0.0], [1.0], t=2, lipschitz=1.0, cap=100)
+        with pytest.raises(InvalidInputError):
+            draw_sample(model, other, 1.0, seed=0)
+        with pytest.raises(InvalidInputError):
+            decoupled_mean_cov(model, other, 1.0, np.array([[0.5]]))
+        with pytest.raises(InvalidInputError):
+            select_batch(model, other, grid, B=1, alpha=1.0, step_seed=0)
 
 
 class TestDeterminism:
@@ -207,10 +239,10 @@ class TestGrid:
 
 
 class TestSelectBatch:
-    def test_matches_per_draw_argmax(self):
+    @pytest.mark.parametrize("case", VARIANT_CASES)
+    def test_matches_per_draw_argmax(self, case):
         rng = np.random.default_rng(9)
-        data, model = fitted_points_model(rng)
-        fm = mercer_truncate(SE1, 64, [0.0], [1.0])
+        model, fm = fitted_case(case, rng)
         grid = build_grid([0.0], [1.0], t=3, lipschitz=2.0, cap=4000)
         step_seed = 777
         pts, idx = select_batch(model, fm, grid, B=4, alpha=1.0, step_seed=step_seed)
@@ -219,6 +251,28 @@ class TestSelectBatch:
             vals = s.eval_many(grid.points)
             assert idx[b] == int(np.argmax(vals))
             assert np.array_equal(pts[b], grid.points[idx[b]])
+
+    def test_set_up_runs_once_per_call(self, monkeypatch):
+        # one select_batch call: features at the grid and at Z, one eigh of S
+        rng = np.random.default_rng(13)
+        data, model = fitted_points_model(rng)
+        fm = mercer_truncate(SE1, 64, [0.0], [1.0])
+        grid = build_grid([0.0], [1.0], t=3, lipschitz=2.0, cap=4000)
+        calls = {"features": 0, "eigh": 0}
+        features, eigh = FeatureMap.features, np.linalg.eigh
+
+        def counted_features(self, X):
+            calls["features"] += 1
+            return features(self, X)
+
+        def counted_eigh(a, *args, **kwargs):
+            calls["eigh"] += 1
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(FeatureMap, "features", counted_features)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        select_batch(model, fm, grid, B=5, alpha=1.0, step_seed=5)
+        assert calls == {"features": 2, "eigh": 1}
 
     def test_seed_order_permutes_outputs_only(self):
         rng = np.random.default_rng(10)
