@@ -483,6 +483,7 @@ def run_sgp_ts(cfg: RunConfig, bench: Benchmark, seed: int) -> RunLog:
                             seed, 0)
     c1_run = 1.0
     cum = 0.0
+    grid_pts = grid_F = None    # the last grid and its prior features, reused while it repeats
     for t in range(1, cfg.T + 1):
         grid = build_grid(bench.lo, bench.hi, t, cfg.lipschitz, cfg.grid_cap)
         if cfg.gamma_mode == "realized":
@@ -512,7 +513,9 @@ def run_sgp_ts(cfg: RunConfig, bench: Benchmark, seed: int) -> RunLog:
                     break
         alpha_t, b_t, beta_t = schedule_alpha(t, grid.n_points, cfg, gamma_t, quality)
         step_seed = derive_seed(seed, t)
-        X_batch, _ = select_batch(model, fm, grid, cfg.B, alpha_t, step_seed)
+        if not np.array_equal(grid.points, grid_pts):
+            grid_pts, grid_F = grid.points, fm.features(grid.points)
+        X_batch, _ = select_batch(model, fm, grid, cfg.B, alpha_t, step_seed, F=grid_F)
         f_true = bench.evaluate(X_batch)
         y = f_true + noise.draw(rng_from_path(seed, t, _NOISE_TAG), cfg.B)
         data = data.append_batch(X_batch, y)

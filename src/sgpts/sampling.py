@@ -15,13 +15,17 @@ inducing points, and w_m the leading m prior weights.  Any alpha >= 1 scales
 the deviation around the posterior mean without moving the mean: substituting
 u = m, w = 0 gives exactly the model mean for every alpha.
 
-Work is split three ways.  Once per draw set-up, that is per call of
-draw_sample, select_batch or decoupled_mean_cov: the checks on alpha and on
-the feature map, the root of S from its eigendecomposition, sqrt(lambda), and
-for points Phi.  Once per draw: w, u and the solve for v.  Once per set of
-evaluation points: the basis (F, U), with F the prior features and U = k(X, Z)
-for points or the leading m columns of F for features; select_batch builds
-the grid's basis once and evaluates all B draws on it.
+Work is split four ways.  Once per draw set-up, a DrawSetup for one (model,
+feature map, alpha): the checks on alpha and on the feature map, the root of
+S from its eigendecomposition, sqrt(lambda), and for points Phi = Phi(Z).
+Once per draw: w, u and the solve for v.  Once per set of evaluation points:
+the basis (F, U), with F the prior features and U = k(X, Z) for points or the
+leading m columns of F for features.  Once per batch: the B draws' weights
+stacked into W (M x B) and V (m x B), scored as alpha F W + U V.
+
+In a run, F on the candidate grid is computed once per distinct grid (the
+grid stops changing once it is capped) and passed to select_batch; U, Phi(Z)
+and the root of S are rebuilt every step, since Z and S move with the data.
 
 Seed scheme: step seed = hash(run_seed, t), draw seed = hash(step_seed, b),
 with hash = the first output word of numpy's SeedSequence over the integer
@@ -51,8 +55,12 @@ def derive_seed(*path: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-class _DrawSetup:
-    """Seed-independent part of every draw from one (model, feature map, alpha)."""
+class DrawSetup:
+    """Seed-independent part of every draw from one (model, feature map, alpha).
+
+    Build it once and call draw(rng) for each draw: a draw then costs w, u and
+    one m x m solve, independent of the set-up's feature evaluations.
+    """
 
     def __init__(self, model: SvgpModel, fm: FeatureMap, alpha: float):
         if alpha < 1.0:
@@ -87,9 +95,11 @@ class _DrawSetup:
         return SampleFunction(model=model, fm=self.fm, alpha=alpha, w=w, v=v)
 
 
-def _basis(model: SvgpModel, fm: FeatureMap, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F, U) at X: the prior features and the update basis of either variant."""
-    F = fm.features(X)
+def _basis(model: SvgpModel, fm: FeatureMap, X: np.ndarray,
+           F: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(F, U) at X: the prior features (computed unless given) and the update basis."""
+    if F is None:
+        F = fm.features(X)
     if model.variant == "points":
         return F, kernel_matrix(model.spec, X, model.Z)
     return F, F[:, : model.m_count]
@@ -105,24 +115,36 @@ class SampleFunction:
     w: np.ndarray
     v: np.ndarray
 
-    def _on_basis(self, F: np.ndarray, U: np.ndarray) -> np.ndarray:
-        """Draw values at the points whose basis _basis returned as (F, U)."""
-        prior_part = self.alpha * (F @ (np.sqrt(self.fm.lambdas) * self.w))
+    def _coeffs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W, V) as columns: the weights of F and of U in this draw's values."""
+        W = np.sqrt(self.fm.lambdas) * self.w
         if self.model.variant == "points":
-            return prior_part + U @ self.v
-        return prior_part + U @ (self.model.feature_map.lambdas[: self.model.m_count] * self.v)
+            return W[:, None], self.v[:, None]
+        lam_m = self.model.feature_map.lambdas[: self.model.m_count]
+        return W[:, None], (lam_m * self.v)[:, None]
+
+    @staticmethod
+    def _on_basis(F: np.ndarray, U: np.ndarray, alpha: float,
+                  W: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Values of k draws, one per column of W (M x k) and V (m x k), at the
+        points whose basis _basis returned as (F, U)."""
+        return alpha * (F @ W) + U @ V
 
     def eval_many(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return self._on_basis(*_basis(self.model, self.fm, X))
+        return self._on_basis(*_basis(self.model, self.fm, X), self.alpha, *self._coeffs())[:, 0]
 
     def __call__(self, x) -> float:
         return float(self.eval_many(x)[0])
 
 
 def draw_sample(model: SvgpModel, fm: FeatureMap, alpha: float, seed: int) -> SampleFunction:
-    """One decoupled draw; fresh u and w every call, keyed by the seed."""
-    return _DrawSetup(model, fm, alpha).draw(np.random.default_rng(seed))
+    """One decoupled draw; fresh u and w every call, keyed by the seed.
+
+    Pays the whole set-up per call; to draw many times from one model, build a
+    DrawSetup once and call its draw, which gives the same draw for the same seed.
+    """
+    return DrawSetup(model, fm, alpha).draw(np.random.default_rng(seed))
 
 
 def decoupled_mean_cov(
@@ -135,7 +157,7 @@ def decoupled_mean_cov(
     posterior covariance only through the spectral truncation of the prior
     part, which is what the eps deviation constant accounts for.
     """
-    setup = _DrawSetup(model, fm, alpha)
+    setup = DrawSetup(model, fm, alpha)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     X2m = X if X2 is None else np.atleast_2d(np.asarray(X2, dtype=float))
     mean = model.predict(X)[0]
@@ -208,18 +230,29 @@ def select_batch(
     B: int,
     alpha: float,
     step_seed: int,
+    *,
+    F: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """B independent draws, each maximized over the grid.
 
     Returns (points, indices).  Draw b uses seed hash(step_seed, b); ties in
-    the argmax resolve to the lowest grid index.
+    the argmax resolve to the lowest grid index.  F, when given, must be
+    fm.features(grid.points), shape (n_points, M); a caller whose grid
+    repeats across steps passes it to skip the re-evaluation.  All B draws are
+    scored with one product into an n_points x B values matrix, which is no
+    larger than F whenever B <= M, so the grid is not chunked.
     """
     if B < 1:
         raise InvalidInputError("B must be >= 1")
-    setup = _DrawSetup(model, fm, alpha)
-    F, U = _basis(model, fm, grid.points)
-    idx = np.empty(B, dtype=int)
-    for b in range(B):
-        sample = setup.draw(np.random.default_rng(derive_seed(step_seed, b)))
-        idx[b] = int(np.argmax(sample._on_basis(F, U)))
+    if F is not None and F.shape != (grid.n_points, fm.count):
+        raise InvalidInputError(
+            f"grid features have shape {F.shape}, expected {(grid.n_points, fm.count)}"
+        )
+    setup = DrawSetup(model, fm, alpha)
+    F, U = _basis(model, fm, grid.points, F)
+    coeffs = [setup.draw(np.random.default_rng(derive_seed(step_seed, b)))._coeffs()
+              for b in range(B)]
+    W = np.hstack([c[0] for c in coeffs])
+    V = np.hstack([c[1] for c in coeffs])
+    idx = np.argmax(SampleFunction._on_basis(F, U, alpha, W, V), axis=0)
     return grid.points[idx], idx

@@ -20,7 +20,7 @@ from .benchmarks import get_benchmark
 from .engine import RunConfig, growth_exponents, run_sgp_ts
 from .exact_gp import Dataset, batch_sigma_bound, fit_exact
 from .kernels import KernelSpec, kernel_matrix, mercer_truncate, rff_sample
-from .sampling import derive_seed, draw_sample
+from .sampling import DrawSetup, derive_seed
 from .svgp import elbo, fit_svgp_closed_form, kl_to_exact, trace_residual
 from .util import rng_from_path
 
@@ -101,8 +101,9 @@ def check_sampler_moments(n_draws: int = 1500) -> tuple[bool, str]:
     exact = fit_exact(data, spec, 0.2)
     fm = rff_sample(spec, 512, seed=42)
     probes = np.array([[0.2], [0.5], [0.8]])
+    setup = DrawSetup(model, fm, 1.0)
     draws = np.stack([
-        draw_sample(model, fm, 1.0, seed=derive_seed(77, b)).eval_many(probes)
+        setup.draw(np.random.default_rng(derive_seed(77, b))).eval_many(probes)
         for b in range(n_draws)
     ])
     me, ve = exact.predict(probes)

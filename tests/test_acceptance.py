@@ -27,7 +27,7 @@ from sgpts.engine import (
 )
 from sgpts.exact_gp import Dataset, batch_sigma_bound, fit_exact
 from sgpts.kernels import KernelSpec, kernel_matrix, mercer_truncate, rff_sample, tail_mass
-from sgpts.sampling import decoupled_mean_cov, derive_seed, draw_sample
+from sgpts.sampling import DrawSetup, decoupled_mean_cov, derive_seed
 from sgpts.svgp import (
     approximation_constants,
     elbo,
@@ -127,9 +127,10 @@ def test_criterion_03_sampler_moments():
     _, cov_s = decoupled_mean_cov(model, fm, 1.0, probes)
     slack = np.abs(np.diag(cov_s) - ve)
     n_draws = 20_000
-    d1 = np.stack([draw_sample(model, fm, 1.0, derive_seed(1001, b)).eval_many(probes)
+    s1, s2 = DrawSetup(model, fm, 1.0), DrawSetup(model, fm, 2.0)
+    d1 = np.stack([s1.draw(np.random.default_rng(derive_seed(1001, b))).eval_many(probes)
                    for b in range(n_draws)])
-    d2 = np.stack([draw_sample(model, fm, 2.0, derive_seed(1002, b)).eval_many(probes)
+    d2 = np.stack([s2.draw(np.random.default_rng(derive_seed(1002, b))).eval_many(probes)
                    for b in range(n_draws)])
     mean_gap = np.abs(d1.mean(axis=0) - me)
     se = np.sqrt(ve / n_draws)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from sgpts import engine
 from sgpts.benchmarks import Benchmark, get_benchmark, random_search
 from sgpts.engine import (
     RunConfig,
@@ -24,7 +25,7 @@ from sgpts.engine import (
 )
 from sgpts.errors import ConfigError, InvalidInputError, ScheduleUndefinedError
 from sgpts.exact_gp import Dataset, batch_sigma_bound
-from sgpts.kernels import KernelSpec
+from sgpts.kernels import FeatureMap, KernelSpec
 from sgpts.svgp import fit_svgp_closed_form
 from sgpts.util import rng_from_path
 
@@ -427,6 +428,30 @@ class TestRunLoop:
                                  s.eps_t, 1.0)
             assert bound >= cum_t
 
+    @pytest.mark.parametrize("config, overrides, want", [
+        ("hartmann6", ("grid_cap=8000",), 1),    # capped, so one grid for all 25 steps
+        ("multimodal1d", (), 12),                # 11 lattices, then capped from t = 12
+    ])
+    def test_grid_features_once_per_distinct_grid(self, monkeypatch, config, overrides, want):
+        grids, grid_calls = [], []
+        build, features = engine.build_grid, FeatureMap.features
+
+        def recorded_build(*args, **kwargs):
+            grid = build(*args, **kwargs)
+            grids.append(grid.points)
+            return grid
+
+        def counted_features(self, X):
+            if any(np.array_equal(X, g) for g in grids):
+                grid_calls.append(len(X))
+            return features(self, X)
+
+        monkeypatch.setattr(engine, "build_grid", recorded_build)
+        monkeypatch.setattr(FeatureMap, "features", counted_features)
+        cfg = parse_config((REPO / "configs" / f"{config}.cfg").read_text(), overrides)
+        run_sgp_ts(cfg, get_benchmark(cfg.objective), 0)
+        assert len(grid_calls) == want
+
     def test_sublinear_trend_on_small_multimodal(self):
         bench = get_benchmark("multimodal1d")
         cfg = RunConfig(objective="multimodal1d", T=12, B=10, lengthscale=(0.05,),
@@ -477,3 +502,10 @@ class TestRecordedRunLogs:
         log = run_sgp_ts(cfg, get_benchmark(cfg.objective), 0)
         got = hashlib.sha256(log.to_csv().encode()).hexdigest()
         assert got == digests["hartmann6-cap8000:0"]
+
+    def test_shipped_hartmann6_run_matches_recorded_digest(self):
+        """hartmann6.cfg as shipped: 40000 Halton candidates scored in one product per batch."""
+        cfg = parse_config((REPO / "configs" / "hartmann6.cfg").read_text())
+        log = run_sgp_ts(cfg, get_benchmark(cfg.objective), 0)
+        got = hashlib.sha256(log.to_csv().encode()).hexdigest()
+        assert got == "f40b9e206ab5c76b0788dbfe51d4e81e0843928af7b853160fd6b3d73c253b64"

@@ -3,8 +3,16 @@ import pytest
 
 from sgpts.errors import InvalidInputError
 from sgpts.exact_gp import Dataset, fit_exact
-from sgpts.kernels import FeatureMap, KernelSpec, mercer_truncate, rff_sample, tail_mass
+from sgpts.kernels import (
+    FeatureMap,
+    KernelSpec,
+    kernel_matrix,
+    mercer_truncate,
+    rff_sample,
+    tail_mass,
+)
 from sgpts.sampling import (
+    DrawSetup,
     SampleFunction,
     build_grid,
     decoupled_mean_cov,
@@ -168,6 +176,10 @@ class TestAnalyticCovariance:
             select_batch(model, fm, grid, B=2, alpha=0.99, step_seed=0)
         with pytest.raises(InvalidInputError):
             select_batch(model, fm, grid, B=0, alpha=1.0, step_seed=0)
+        F = fm.features(grid.points)
+        for wrong in (F[1:], F[:, 1:], F.ravel()):
+            with pytest.raises(InvalidInputError):
+                select_batch(model, fm, grid, B=2, alpha=1.0, step_seed=0, F=wrong)
 
     def test_rejects_another_kernels_eigen_map(self):
         # same box, same kind and count, but the eigenpairs of lengthscale 0.6
@@ -197,6 +209,27 @@ class TestDeterminism:
         assert np.array_equal(a.eval_many(X), b.eval_many(X))
         c = draw_sample(model, fm, 1.5, seed=34)
         assert not np.array_equal(a.eval_many(X), c.eval_many(X))
+
+    @pytest.mark.parametrize("case", VARIANT_CASES)
+    def test_reused_set_up_matches_draw_sample(self, case):
+        # one set-up per alpha, many draws: draw_sample's draws bit for bit
+        model, fm = fitted_case(case, np.random.default_rng(14))
+        X = np.linspace(0, 1, 11).reshape(-1, 1)
+        F = fm.features(X)
+        U = kernel_matrix(SE1, X, model.Z) if model.variant == "points" else F[:, : model.m_count]
+        for alpha in (1.0, 2.0):
+            setup = DrawSetup(model, fm, alpha)
+            for b in range(5):
+                seed = derive_seed(1001, b)
+                got = setup.draw(np.random.default_rng(seed))
+                want = draw_sample(model, fm, alpha, seed)
+                assert np.array_equal(got.w, want.w) and np.array_equal(got.v, want.v)
+                vals = got.eval_many(X)
+                assert np.array_equal(vals, want.eval_many(X))
+                # the one-column evaluator keeps the bits of the per-draw matvecs
+                v = got.v if model.variant == "points" else \
+                    model.feature_map.lambdas[: model.m_count] * got.v
+                assert np.array_equal(vals, alpha * (F @ (np.sqrt(fm.lambdas) * got.w)) + U @ v)
 
     def test_derive_seed_is_stable(self):
         assert derive_seed(123, 4) == derive_seed(123, 4)
@@ -246,6 +279,9 @@ class TestSelectBatch:
         grid = build_grid([0.0], [1.0], t=3, lipschitz=2.0, cap=4000)
         step_seed = 777
         pts, idx = select_batch(model, fm, grid, B=4, alpha=1.0, step_seed=step_seed)
+        pts_f, idx_f = select_batch(model, fm, grid, B=4, alpha=1.0, step_seed=step_seed,
+                                    F=fm.features(grid.points))
+        assert np.array_equal(idx, idx_f) and np.array_equal(pts, pts_f)
         for b in range(4):
             s = draw_sample(model, fm, 1.0, seed=derive_seed(step_seed, b))
             vals = s.eval_many(grid.points)
@@ -269,10 +305,14 @@ class TestSelectBatch:
             calls["eigh"] += 1
             return eigh(a, *args, **kwargs)
 
+        F = fm.features(grid.points)
         monkeypatch.setattr(FeatureMap, "features", counted_features)
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         select_batch(model, fm, grid, B=5, alpha=1.0, step_seed=5)
         assert calls == {"features": 2, "eigh": 1}
+        # given the grid's features, only Phi(Z) is evaluated
+        select_batch(model, fm, grid, B=5, alpha=1.0, step_seed=5, F=F)
+        assert calls == {"features": 3, "eigh": 2}
 
     def test_seed_order_permutes_outputs_only(self):
         rng = np.random.default_rng(10)
