@@ -132,17 +132,19 @@ def _hermite_psi(z: np.ndarray, orders: int) -> np.ndarray:
     """Normalized Hermite functions psi_j(z) = H_j(z)/sqrt(2^j j!), j < orders.
 
     The normalized three-term recurrence keeps intermediates bounded, so no
-    factorial overflow for the order counts used here.  Shape (len(z), orders).
+    factorial overflow for the order counts used here.  Shape (orders,
+    len(z)): row j holds psi_j at every z, each row written in place and
+    contiguous.
     """
     z = np.asarray(z, dtype=float)
-    out = np.empty((z.size, orders))
-    out[:, 0] = 1.0
+    out = np.empty((orders, z.size))
+    out[0] = 1.0
     if orders > 1:
-        out[:, 1] = z * math.sqrt(2.0)
+        np.multiply(z, math.sqrt(2.0), out=out[1])
     for n in range(1, orders - 1):
-        out[:, n + 1] = z * math.sqrt(2.0 / (n + 1)) * out[:, n] - math.sqrt(
-            n / (n + 1.0)
-        ) * out[:, n - 1]
+        row = np.multiply(z, math.sqrt(2.0 / (n + 1)), out=out[n + 1])
+        row *= out[n]
+        row -= math.sqrt(n / (n + 1.0)) * out[n - 1]
     return out
 
 
@@ -161,9 +163,11 @@ class _Mercer1D:
         return self.lam0 * self.ratio ** np.arange(orders)
 
     def phis(self, x: np.ndarray, orders: int) -> np.ndarray:
+        """phi_j(x) for j < orders: an (n, orders) view of contiguous rows."""
         r = np.asarray(x, dtype=float) - self.center
         psi = _hermite_psi(math.sqrt(self.a2) * self.beta * r, orders)
-        return math.sqrt(self.beta) * np.exp(-self.delta2 * r * r)[:, None] * psi
+        psi *= math.sqrt(self.beta) * np.exp(-self.delta2 * r * r)
+        return psi.T
 
 
 def _mercer_axis(lengthscale: float, lo: float, hi: float) -> _Mercer1D:
@@ -228,11 +232,12 @@ class FeatureMap:
         z = X @ self._freqs.T
         n_pair = self._freqs.shape[0] if self.count % 2 == 0 else self._freqs.shape[0] - 1
         cols = np.empty((X.shape[0], self.count))
-        cols[:, 0 : 2 * n_pair : 2] = np.cos(z[:, :n_pair])
-        cols[:, 1 : 2 * n_pair : 2] = np.sin(z[:, :n_pair])
+        np.cos(z[:, :n_pair], out=cols[:, 0 : 2 * n_pair : 2])
+        np.sin(z[:, :n_pair], out=cols[:, 1 : 2 * n_pair : 2])
         if self.count % 2 == 1:
-            cols[:, -1] = np.cos(z[:, -1] + self._phase)
-        return self._amp * cols
+            np.cos(z[:, -1] + self._phase, out=cols[:, -1])
+        cols *= self._amp
+        return cols
 
     def reconstruct(self, X, X2=None) -> np.ndarray:
         """Kernel matrix implied by the truncated expansion."""
@@ -288,7 +293,8 @@ def mercer_truncate(spec: KernelSpec, M: int, lower, upper) -> FeatureMap:
     for axis in range(spec.dim):
         orders = int(index[:, axis].max()) + 1
         grid = np.linspace(lo[axis], hi[axis], 10_000)
-        sup_per_axis.append(np.abs(axes[axis].phis(grid, orders)).max(axis=0))
+        p = axes[axis].phis(grid, orders)
+        sup_per_axis.append(np.abs(p, out=p).max(axis=0))
     sup = np.ones(len(index_rows))
     for axis in range(spec.dim):
         sup *= sup_per_axis[axis][index[:, axis]]

@@ -34,6 +34,7 @@ pair.  Identical paths give identical draws on every platform.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -194,12 +195,21 @@ class Discretization:
         return self.points.shape[0]
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_halton(d: int, n: int) -> np.ndarray:
+    """The first n points of the unscrambled d-dim Halton sequence, read-only."""
+    unit = qmc.Halton(d=d, scramble=False).random(n)
+    unit.flags.writeable = False
+    return unit
+
+
 def build_grid(lower, upper, t: int, lipschitz: float, cap: int) -> Discretization:
     """Axis-aligned grid with spacing at most 2 / (L t^2 sqrt(d)).
 
     When the full grid would exceed cap points, a deterministic Halton set of
-    exactly cap points replaces it.  Either way n_points <= C t^(2d) with C
-    recorded on the result.
+    exactly cap points replaces it; the unit set is generated once per
+    (d, cap) and scaled to the box into fresh points on every call.  Either
+    way n_points <= C t^(2d) with C recorded on the result.
     """
     lo, hi = as_box(lower, upper)
     if t < 1 or lipschitz <= 0 or cap < 2:
@@ -217,8 +227,7 @@ def build_grid(lower, upper, t: int, lipschitz: float, cap: int) -> Discretizati
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         return Discretization(points=pts, t=t, spacing=h, capped=False,
                               density_const=density_const)
-    sampler = qmc.Halton(d=d, scramble=False)
-    pts = lo + sampler.random(cap) * (hi - lo)
+    pts = lo + _unit_halton(d, cap) * (hi - lo)
     return Discretization(points=pts, t=t, spacing=h, capped=True,
                           density_const=density_const)
 

@@ -238,3 +238,89 @@ class TestTailMass:
             tail_mass(fm, 10, 10)
         with pytest.raises(InvalidInputError):
             tail_mass(fm, 1, 61)
+
+
+# Column-at-a-time feature maps: the expressions the in-place, row-major
+# evaluation in sgpts.kernels must reproduce bit for bit.
+
+def reference_hermite_psi(z, orders):
+    out = np.empty((z.size, orders))
+    out[:, 0] = 1.0
+    if orders > 1:
+        out[:, 1] = z * math.sqrt(2.0)
+    for n in range(1, orders - 1):
+        out[:, n + 1] = z * math.sqrt(2.0 / (n + 1)) * out[:, n] - math.sqrt(
+            n / (n + 1.0)
+        ) * out[:, n - 1]
+    return out
+
+
+def reference_phis(ax, x, orders):
+    r = np.asarray(x, dtype=float) - ax.center
+    psi = reference_hermite_psi(math.sqrt(ax.a2) * ax.beta * r, orders)
+    return math.sqrt(ax.beta) * np.exp(-ax.delta2 * r * r)[:, None] * psi
+
+
+def reference_mercer(spec, fm, X, lo, hi):
+    """(lambdas, sup_bounds, features) of fm, recomputed from its axes and index."""
+    index = fm._index
+    lambdas = np.ones(fm.count)
+    for axis, ax in enumerate(fm._axes):
+        lambdas *= ax.lambdas(fm.count)[index[:, axis]]
+    sup, feats = np.ones(fm.count), np.ones((X.shape[0], fm.count))
+    for axis, ax in enumerate(fm._axes):
+        orders = int(index[:, axis].max()) + 1
+        grid = np.linspace(lo[axis], hi[axis], 10_000)
+        sup *= np.abs(reference_phis(ax, grid, orders)).max(axis=0)[index[:, axis]]
+        feats *= reference_phis(ax, X[:, axis], orders)[:, index[:, axis]]
+    return spec.variance * lambdas, sup, feats
+
+
+def reference_rff_features(fm, X):
+    z = X @ fm._freqs.T
+    n_pair = fm._freqs.shape[0] if fm.count % 2 == 0 else fm._freqs.shape[0] - 1
+    cols = np.empty((X.shape[0], fm.count))
+    cols[:, 0 : 2 * n_pair : 2] = np.cos(z[:, :n_pair])
+    cols[:, 1 : 2 * n_pair : 2] = np.sin(z[:, :n_pair])
+    if fm.count % 2 == 1:
+        cols[:, -1] = np.cos(z[:, -1] + fm._phase)
+    return fm._amp * cols
+
+
+class TestFeatureLayerBits:
+    @pytest.mark.parametrize("spec, M, lo, hi", [
+        (se(ls=0.2, var=0.7), 1, [0.0], [1.0]),
+        (se(ls=0.2, var=0.7), 2, [0.0], [1.0]),
+        (se(ls=0.2, var=0.7), 3, [0.0], [1.0]),
+        (se(ls=0.1), 256, [0.0], [1.0]),
+        (KernelSpec(family="se", dim=3, lengthscales=(0.3, 0.7, 1.5)), 200,
+         [0.0, -1.0, 2.0], [1.0, 1.0, 5.0]),
+    ], ids=["M1", "M2", "M3", "M256", "3d-anisotropic"])
+    def test_mercer_matches_column_reference(self, spec, M, lo, hi):
+        fm = mercer_truncate(spec, M, lo, hi)
+        # points inside the box and up to half a side beyond it
+        lo_a, hi_a = np.asarray(lo), np.asarray(hi)
+        half = 0.5 * (hi_a - lo_a)
+        X = np.random.default_rng(31).uniform(lo_a - half, hi_a + half, size=(300, spec.dim))
+        assert np.any((X < lo_a) | (X > hi_a))
+        lambdas, sup, feats = reference_mercer(spec, fm, X, lo_a, hi_a)
+        assert np.array_equal(fm.lambdas, lambdas)
+        assert np.array_equal(fm.sup_bounds, sup)
+        assert np.array_equal(fm.features(X), feats)
+
+    def test_phis_are_an_n_by_orders_view(self):
+        ax = mercer_truncate(se(ls=0.2), 5, [0.0], [1.0])._axes[0]
+        x = np.linspace(-0.5, 1.5, 7)
+        got = ax.phis(x, 5)
+        assert got.shape == (7, 5) and got.base is not None
+        assert np.array_equal(got, reference_phis(ax, x, 5))
+
+    @pytest.mark.parametrize("M", [1, 2, 511, 512])
+    @pytest.mark.parametrize("spec", [se(dim=6, ls=0.3, var=0.8), matern(2.5, dim=6, ls=0.4)],
+                             ids=["se", "matern"])
+    def test_rff_matches_column_reference(self, spec, M):
+        fm = rff_sample(spec, M, seed=13)
+        X = np.random.default_rng(37).uniform(-1.0, 2.0, size=(257, 6))
+        F = fm.features(X)
+        assert F.flags.c_contiguous
+        assert np.array_equal(F, reference_rff_features(fm, X))

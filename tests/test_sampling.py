@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from sgpts.errors import InvalidInputError
 from sgpts.exact_gp import Dataset, fit_exact
@@ -14,6 +15,7 @@ from sgpts.kernels import (
 from sgpts.sampling import (
     DrawSetup,
     SampleFunction,
+    _unit_halton,
     build_grid,
     decoupled_mean_cov,
     derive_seed,
@@ -37,6 +39,13 @@ def fitted_features_model(rng, fm, m=10, n=10, tau=0.2):
     y = rng.normal(scale=0.5, size=n)
     data = Dataset(X, y, 1, n)
     return data, fit_svgp_closed_form(data, SE1, tau, feature_map=fm, m=m)
+
+
+def draw_values(setup, key, n_draws, probes):
+    """Values at the probes of draws b < n_draws with seeds derive_seed(key, b), all
+    from one set-up: the draws draw_sample gives for those seeds, shape (n_draws, n_probes)."""
+    return np.stack([setup.draw(np.random.default_rng(derive_seed(key, b))).eval_many(probes)
+                     for b in range(n_draws)])
 
 
 VARIANT_CASES = ["points-mercer", "points-rff", "features-mercer"]
@@ -75,10 +84,7 @@ class TestMeanInvariance:
         data, model = fitted_points_model(rng)
         fm = mercer_truncate(SE1, 80, [0.0], [1.0])
         probes = np.array([[0.2], [0.5], [0.8]])
-        draws = np.stack(
-            [draw_sample(model, fm, 2.0, seed=derive_seed(7, b)).eval_many(probes)
-             for b in range(3000)]
-        )
+        draws = draw_values(DrawSetup(model, fm, 2.0), 7, 3000, probes)
         mu_hat = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / np.sqrt(3000)
         want = model.predict(probes)[0]
@@ -99,10 +105,7 @@ class TestMomentsAgainstExact:
         probes = np.array([[0.15], [0.5], [0.85]])
         ev = exact.predict(probes)[1]
         n_draws = 4000
-        draws = np.stack(
-            [draw_sample(model, fm, 1.0, seed=derive_seed(11, b)).eval_many(probes)
-             for b in range(n_draws)]
-        )
+        draws = draw_values(DrawSetup(model, fm, 1.0), 11, n_draws, probes)
         var_hat = draws.var(axis=0, ddof=1)
         # sampling error of a variance estimate ~ var * sqrt(2/n)
         slack = ev * np.sqrt(2.0 / n_draws) * 4 + 1e-3
@@ -114,14 +117,8 @@ class TestMomentsAgainstExact:
         data, model = fitted_points_model(rng)
         fm = mercer_truncate(SE1, 256, [0.0], [1.0])
         probes = np.array([[0.3], [0.7]])
-        v1 = np.stack(
-            [draw_sample(model, fm, 1.0, seed=derive_seed(5, b)).eval_many(probes)
-             for b in range(4000)]
-        ).var(axis=0)
-        v2 = np.stack(
-            [draw_sample(model, fm, 2.0, seed=derive_seed(6, b)).eval_many(probes)
-             for b in range(4000)]
-        ).var(axis=0)
+        v1 = draw_values(DrawSetup(model, fm, 1.0), 5, 4000, probes).var(axis=0)
+        v2 = draw_values(DrawSetup(model, fm, 2.0), 6, 4000, probes).var(axis=0)
         ratio = v2 / v1
         assert np.all(ratio > 3.5) and np.all(ratio < 4.5)
 
@@ -143,10 +140,7 @@ class TestAnalyticCovariance:
         fm = mercer_truncate(SE1, 128, [0.0], [1.0])
         probes = np.array([[0.25], [0.6]])
         _, cov = decoupled_mean_cov(model, fm, 1.0, probes)
-        draws = np.stack(
-            [draw_sample(model, fm, 1.0, seed=derive_seed(21, b)).eval_many(probes)
-             for b in range(6000)]
-        )
+        draws = draw_values(DrawSetup(model, fm, 1.0), 21, 6000, probes)
         emp = np.cov(draws.T)
         assert np.abs(emp - cov).max() < 0.02
 
@@ -263,6 +257,37 @@ class TestGrid:
         gs = [build_grid([0.0], [1.0], t=t, lipschitz=1.0, cap=10 ** 6) for t in (1, 2, 4)]
         assert gs[0].spacing > gs[1].spacing > gs[2].spacing
         assert gs[0].n_points <= gs[1].n_points <= gs[2].n_points
+
+    def test_halton_set_is_made_once_and_read_only(self):
+        unit = _unit_halton(3, 500)
+        assert np.array_equal(unit, qmc.Halton(d=3, scramble=False).random(500))
+        assert not unit.flags.writeable
+        assert _unit_halton(3, 500) is unit
+        lo, hi = np.array([0.0, -1.0, 2.0]), np.array([1.0, 1.0, 5.0])
+        g = build_grid(lo, hi, t=10, lipschitz=5.0, cap=500)
+        assert np.array_equal(g.points, lo + unit * (hi - lo))
+
+    def test_grids_do_not_share_points(self):
+        g = build_grid([0.0] * 3, [1.0] * 3, t=10, lipschitz=5.0, cap=500)
+        want = g.points.copy()
+        g.points[:] = -1.0
+        g2 = build_grid([0.0] * 3, [1.0] * 3, t=10, lipschitz=5.0, cap=500)
+        assert np.array_equal(g2.points, want)
+
+    @pytest.mark.parametrize("lo, hi, t, lipschitz", [
+        ([0.0], [1.0], 4, 1.0),
+        ([0.0, 0.0], [1.0, 2.0], 2, 2.0),
+    ])
+    def test_cap_boundary(self, lo, hi, t, lipschitz):
+        # a lattice of exactly cap points stays a lattice; one more point switches to Halton
+        lattice = build_grid(lo, hi, t=t, lipschitz=lipschitz, cap=10 ** 7)
+        n = lattice.n_points
+        at = build_grid(lo, hi, t=t, lipschitz=lipschitz, cap=n)
+        assert not at.capped and np.array_equal(at.points, lattice.points)
+        over = build_grid(lo, hi, t=t, lipschitz=lipschitz, cap=n - 1)
+        assert over.capped and over.n_points == n - 1
+        unit = qmc.Halton(d=len(lo), scramble=False).random(n - 1)
+        assert np.array_equal(over.points, np.asarray(lo) + unit * np.subtract(hi, lo))
 
     def test_huge_lattice_count_still_caps(self):
         # the 6-d lattice size here exceeds int64; the cap test must not
