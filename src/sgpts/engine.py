@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .benchmarks import Benchmark, NoiseModel
 from .errors import (
@@ -29,7 +28,7 @@ from .kernels import (
     rff_sample,
     tail_mass,
 )
-from .sampling import build_grid, derive_seed, select_batch
+from .sampling import _unit_halton, build_grid, derive_seed, select_batch
 from .svgp import (
     ApproxQuality,
     SvgpModel,
@@ -39,7 +38,7 @@ from .svgp import (
     select_inducing_kmeans,
     precision_sup_norm,
 )
-from .util import format_float, rng_from_path
+from .util import as_box, format_float, rng_from_path
 
 _NOISE_TAG = 7777
 _RFF_TAG = 909
@@ -429,13 +428,6 @@ def strict_regret(log: RunLog, f_star: float) -> float:
     return float(sum(f_star - r.f_true for r in log.rows))
 
 
-def _halton_box(dim: int, n: int, lo, hi) -> np.ndarray:
-    unit = qmc.Halton(d=dim, scramble=False).random(n)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    return lo + unit * (hi - lo)
-
-
 def _schedule_m(cfg: RunConfig, dim: int, t: int) -> int:
     if cfg.m_mode == "fixed":
         return cfg.m
@@ -449,7 +441,8 @@ def _fit_step_model(data: Dataset, spec: KernelSpec, cfg: RunConfig, bench: Benc
         m_eff = min(m_t, fm.count)
         return fit_svgp_closed_form(data, spec, cfg.tau, feature_map=fm, m=m_eff)
     if data.n == 0:
-        Z = _halton_box(bench.dim, m_t, bench.lo, bench.hi)
+        lo, hi = as_box(bench.lo, bench.hi)
+        Z = lo + _unit_halton(bench.dim, m_t) * (hi - lo)
     elif cfg.inducing == "greedy":
         Z = select_inducing_greedy(data, spec, min(m_t, data.n), stop_early=True)
     else:

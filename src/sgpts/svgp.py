@@ -157,13 +157,6 @@ class SvgpModel:
         return kernel_matrix(self.spec, X, X2m) - Va.T @ Vb + Wa.T @ Wb
 
 
-def predict_svgp(model: SvgpModel, x, x2=None) -> tuple[float, float]:
-    """Mean at x and covariance between x and x2 (x2 defaults to x)."""
-    mean, _ = model.predict(x)
-    covv = model.cov(x, x if x2 is None else x2)
-    return float(mean[0]), float(covv[0, 0])
-
-
 def _prior_model(spec, tau, Z, feature_map, m) -> SvgpModel:
     """q(u) = N(0, P) for whichever inducing family is set, caches filled."""
     if (Z is None) == (feature_map is None):
@@ -247,7 +240,10 @@ def kl_to_exact(data: Dataset, model: SvgpModel, grid=None) -> float:
     """KL(approximate || exact) for function values at the training inputs.
 
     Extra evaluation points may be appended through grid; the certificate
-    theta / tau applies to the training-input marginal.
+    theta / tau applies to the training-input marginal.  A 1e-12 jitter is
+    added equally to both covariances so the KL stays finite when the
+    approximate covariance is rank-deficient; it is this audit's own and
+    separate from the retry jitter of the factorizations.
     """
     if data.n == 0:
         return 0.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sgpts import verify
 from sgpts.cli import main
 
 TINY = """\
@@ -149,6 +150,18 @@ def test_verify_quick(capsys):
     assert main(["verify", "--level", "quick"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_failing_check_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "check_anti_concentration", lambda: (False, "forced"))
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "8/9 checks passed" in out
+
+
+def test_verify_unknown_level_raises():
+    with pytest.raises(ValueError):
+        verify.run_checks("bogus")
 
 
 def test_bench_comparison(tmp_path, capsys):

@@ -18,7 +18,6 @@ from sgpts.svgp import (
     fit_svgp_closed_form,
     kl_to_exact,
     load_snapshot,
-    predict_svgp,
     approximation_constants,
     select_inducing_greedy,
     select_inducing_kmeans,
@@ -83,6 +82,7 @@ class TestClosedForm:
         assert np.abs(am - em).max() < 1e-6
         assert np.abs(av - ev).max() < 1e-6
         assert np.abs(model.cov(Xq[:5]) - exact.cov(Xq[:5])).max() < 1e-6
+        assert np.abs(model.cov(Xq[:5], Xq[5:9]) - exact.cov(Xq[:5], Xq[5:9])).max() < 1e-6
         assert abs(elbo(data, model) - exact.log_marginal()) < 1e-6
         assert trace_residual(data, model) <= 1e-8
 
@@ -97,14 +97,6 @@ class TestClosedForm:
         am, av = model.predict(Xq)
         assert np.abs(am - em).max() < 1e-4
         assert np.abs(av - ev).max() < 1e-4
-
-    def test_predict_svgp_scalar_interface(self):
-        rng = np.random.default_rng(4)
-        data = spread_data(rng, 8)
-        model = fit_svgp_closed_form(data, SE1, 0.2, Z=data.X[::2])
-        mean, cov = predict_svgp(model, [0.5], [0.6])
-        assert np.isfinite(mean) and np.isfinite(cov)
-        assert np.isclose(cov, model.cov([[0.5]], [[0.6]])[0, 0], atol=1e-14)
 
     def test_rff_map_rejected_for_features_variant(self):
         data = spread_data(np.random.default_rng(5), 8)
