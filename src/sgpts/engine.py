@@ -24,6 +24,7 @@ from .exact_gp import Dataset, concentration_radius, gamma_bound, information_ga
 from .kernels import (
     FeatureMap,
     KernelSpec,
+    _as_points,
     mercer_truncate,
     rff_sample,
     tail_mass,
@@ -172,35 +173,20 @@ _CONFIG_PARSERS = {
 
 def parse_config(text: str, overrides: tuple = ()) -> RunConfig:
     """Build a validated RunConfig from key=value text plus CLI overrides."""
+    lines = enumerate((raw.strip() for raw in text.splitlines()), start=1)
+    entries = [(f"line {n}", line) for n, line in lines if line and not line.startswith("#")]
+    entries += [("override", item) for item in overrides]
     fields = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got '{line}'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for where, item in entries:
+        if "=" not in item:
+            raise ConfigError(f"{where}: '{item}' is not key=value")
+        key, _, value = (part.strip() for part in item.partition("="))
         if key not in _CONFIG_PARSERS:
-            raise ConfigError(f"line {lineno}: unknown field '{key}'")
+            raise ConfigError(f"{where}: unknown field '{key}'")
         try:
             fields[key] = _CONFIG_PARSERS[key](value)
         except ValueError:
-            raise ConfigError(
-                f"line {lineno}: bad value '{value}' for field '{key}'"
-            ) from None
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override '{item}' is not key=value")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_PARSERS:
-            raise ConfigError(f"override: unknown field '{key}'")
-        try:
-            fields[key] = _CONFIG_PARSERS[key](value.strip())
-        except ValueError:
-            raise ConfigError(f"override: bad value '{value}' for field '{key}'") from None
+            raise ConfigError(f"{where}: bad value '{value}' for field '{key}'") from None
     if "objective" not in fields:
         raise ConfigError("missing required field 'objective'")
     cfg = RunConfig(**fields)
@@ -415,7 +401,7 @@ def _ceil_guard(x: float) -> int:
 
 def believed_best(model: SvgpModel, candidates: np.ndarray) -> tuple[np.ndarray, int]:
     """Candidate with the highest posterior mean; ties go to the lowest index."""
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
+    candidates = _as_points(model.spec.dim, candidates)
     if candidates.shape[0] == 0:
         raise InvalidInputError("no candidates to recommend from")
     mean, _ = model.predict(candidates)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import InvalidInputError
-from .kernels import KernelSpec, kernel_matrix
+from .kernels import KernelSpec, _as_points, kernel_matrix
 from .util import chol_psd, clamp_variance
 
 
@@ -148,9 +148,7 @@ class ExactPosterior:
 
     def predict(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at each row of X."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
+        X = _as_points(self.spec.dim, X)
         prior_var = np.full(X.shape[0], self.spec.variance)
         if self._L is None:
             return np.zeros(X.shape[0]), prior_var
@@ -162,8 +160,8 @@ class ExactPosterior:
 
     def cov(self, X, X2=None) -> np.ndarray:
         """Posterior covariance matrix between two point sets."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        X2m = X if X2 is None else np.atleast_2d(np.asarray(X2, dtype=float))
+        X = _as_points(self.spec.dim, X)
+        X2m = X if X2 is None else _as_points(self.spec.dim, X2)
         prior = kernel_matrix(self.spec, X, X2m)
         if self._L is None:
             return prior

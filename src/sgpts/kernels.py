@@ -93,12 +93,13 @@ def _scaled_sqdist(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray
     return np.maximum(d2, 0.0)
 
 
-def _as_points(spec: KernelSpec, X) -> np.ndarray:
+def _as_points(dim: int, X) -> np.ndarray:
+    """X as finite (n, dim) points: a flat X of dim values is one point, else n 1-d points."""
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(1, -1) if X.size == spec.dim else X.reshape(-1, 1)
-    if X.ndim != 2 or X.shape[1] != spec.dim:
-        raise InvalidInputError(f"points must have {spec.dim} columns, got shape {X.shape}")
+    if X.ndim < 2:
+        X = X.reshape(1, -1) if X.size == dim else X.reshape(-1, 1)
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise InvalidInputError(f"points must have {dim} columns, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("points must be finite")
     return X
@@ -106,8 +107,8 @@ def _as_points(spec: KernelSpec, X) -> np.ndarray:
 
 def kernel_matrix(spec: KernelSpec, A, B=None) -> np.ndarray:
     """Cross-covariance matrix k(A, B); B defaults to A."""
-    A = _as_points(spec, A)
-    B = A if B is None else _as_points(spec, B)
+    A = _as_points(spec.dim, A)
+    B = A if B is None else _as_points(spec.dim, B)
     d2 = _scaled_sqdist(spec, A, B)
     if spec.family == "se":
         return spec.variance * np.exp(-0.5 * d2)
@@ -215,11 +216,7 @@ class FeatureMap:
 
     def features(self, X) -> np.ndarray:
         """Feature matrix of shape (n_points, count)."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(1, -1) if X.size == self.dim else X.reshape(-1, 1)
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise InvalidInputError(f"points must have {self.dim} columns")
+        X = _as_points(self.dim, X)
         if self.kind == "mercer":
             if self._index is None:
                 raise InvalidInputError("feature map carries no evaluation rule")
@@ -227,7 +224,7 @@ class FeatureMap:
             for axis in range(self.dim):
                 orders = int(self._index[:, axis].max()) + 1
                 phis = self._axes[axis].phis(X[:, axis], orders)
-                out *= phis[:, self._index[:, axis]]
+                out *= np.take(phis, self._index[:, axis], axis=1)
             return out
         z = X @ self._freqs.T
         n_pair = self._freqs.shape[0] if self.count % 2 == 0 else self._freqs.shape[0] - 1

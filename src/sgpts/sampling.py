@@ -15,13 +15,15 @@ inducing points, and w_m the leading m prior weights.  Any alpha >= 1 scales
 the deviation around the posterior mean without moving the mean: substituting
 u = m, w = 0 gives exactly the model mean for every alpha.
 
-Work is split four ways.  Once per draw set-up, a DrawSetup for one (model,
+Work is split three ways.  Once per draw set-up, a DrawSetup for one (model,
 feature map, alpha): the checks on alpha and on the feature map, the root of
 S from its eigendecomposition, sqrt(lambda), and for points Phi = Phi(Z).
 Once per draw: w, u and the solve for v.  Once per set of evaluation points:
 the basis (F, U), with F the prior features and U = k(X, Z) for points or the
-leading m columns of F for features.  Once per batch: the B draws' weights
-stacked into W (M x B) and V (m x B), scored as alpha F W + U V.
+leading m columns of F for features.  DrawSetup.values scores many seeded
+draws on one basis: a chunk of draws' weights is stacked into W (M x k) and
+V (m x k) and scored as alpha F W + U V, one product per chunk, with W capped
+at _CHUNK_CELLS cells (up to 8192 draws on an M <= 512 map is one product).
 
 In a run, F on the candidate grid is computed once per distinct grid (the
 grid stops changing once it is capped) and passed to select_batch; U, Phi(Z)
@@ -43,9 +45,12 @@ from scipy.linalg import cho_solve
 from scipy.stats import qmc
 
 from .errors import InvalidInputError
-from .kernels import FeatureMap, kernel_matrix
+from .kernels import FeatureMap, _as_points, kernel_matrix
 from .svgp import SvgpModel
 from .util import as_box
+
+# most cells of W (M x draws) that DrawSetup.values scores in one product: 32 MiB
+_CHUNK_CELLS = 2 ** 22
 
 
 def derive_seed(*path: int) -> int:
@@ -95,6 +100,28 @@ class DrawSetup:
             v = (centered - alpha * rootlam_w[:m]) / model.feature_map.lambdas[:m]
         return SampleFunction(model=model, fm=self.fm, alpha=alpha, w=w, v=v)
 
+    def values(self, X, seeds, *, F: np.ndarray | None = None) -> np.ndarray:
+        """Row b: self.draw(np.random.default_rng(seeds[b])) at the rows of X.
+
+        One basis, F given or fm.features(X); one product per chunk of draws, W
+        capped at _CHUNK_CELLS cells.  Equals per-draw eval_many up to the
+        summation order of the products.
+        """
+        X = _as_points(self.fm.dim, X)
+        if F is not None and F.shape != (X.shape[0], self.fm.count):
+            raise InvalidInputError(
+                f"features have shape {F.shape}, expected {(X.shape[0], self.fm.count)}"
+            )
+        F, U = _basis(self.model, self.fm, X, F)
+        chunk = max(1, _CHUNK_CELLS // self.fm.count)
+        out = np.empty((X.shape[0], len(seeds)))
+        for lo in range(0, len(seeds), chunk):
+            coeffs = [self.draw(np.random.default_rng(s))._coeffs() for s in seeds[lo:lo + chunk]]
+            W = np.hstack([c[0] for c in coeffs])
+            V = np.hstack([c[1] for c in coeffs])
+            out[:, lo:lo + len(coeffs)] = SampleFunction._on_basis(F, U, self.alpha, W, V)
+        return out.T
+
 
 def _basis(model: SvgpModel, fm: FeatureMap, X: np.ndarray,
            F: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -132,7 +159,7 @@ class SampleFunction:
         return alpha * (F @ W) + U @ V
 
     def eval_many(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = _as_points(self.fm.dim, X)
         return self._on_basis(*_basis(self.model, self.fm, X), self.alpha, *self._coeffs())[:, 0]
 
     def __call__(self, x) -> float:
@@ -159,8 +186,8 @@ def decoupled_mean_cov(
     part, which is what the eps deviation constant accounts for.
     """
     setup = DrawSetup(model, fm, alpha)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    X2m = X if X2 is None else np.atleast_2d(np.asarray(X2, dtype=float))
+    X = _as_points(fm.dim, X)
+    X2m = X if X2 is None else _as_points(fm.dim, X2)
     mean = model.predict(X)[0]
     Fa = fm.features(X)
     Fb = Fa if X2 is None else fm.features(X2m)
@@ -247,21 +274,12 @@ def select_batch(
     Returns (points, indices).  Draw b uses seed hash(step_seed, b); ties in
     the argmax resolve to the lowest grid index.  F, when given, must be
     fm.features(grid.points), shape (n_points, M); a caller whose grid
-    repeats across steps passes it to skip the re-evaluation.  All B draws are
-    scored with one product into an n_points x B values matrix, which is no
-    larger than F whenever B <= M, so the grid is not chunked.
+    repeats across steps passes it to skip the re-evaluation.  The B draws are
+    scored by DrawSetup.values into a B x n_points values matrix, with one
+    product: its chunk cap holds far more than B draws of any map used here.
     """
     if B < 1:
         raise InvalidInputError("B must be >= 1")
-    if F is not None and F.shape != (grid.n_points, fm.count):
-        raise InvalidInputError(
-            f"grid features have shape {F.shape}, expected {(grid.n_points, fm.count)}"
-        )
-    setup = DrawSetup(model, fm, alpha)
-    F, U = _basis(model, fm, grid.points, F)
-    coeffs = [setup.draw(np.random.default_rng(derive_seed(step_seed, b)))._coeffs()
-              for b in range(B)]
-    W = np.hstack([c[0] for c in coeffs])
-    V = np.hstack([c[1] for c in coeffs])
-    idx = np.argmax(SampleFunction._on_basis(F, U, alpha, W, V), axis=0)
+    seeds = [derive_seed(step_seed, b) for b in range(B)]
+    idx = np.argmax(DrawSetup(model, fm, alpha).values(grid.points, seeds, F=F), axis=1)
     return grid.points[idx], idx

@@ -50,7 +50,7 @@ from .errors import (
     UnsupportedDecompositionError,
 )
 from .exact_gp import Dataset, fit_exact
-from .kernels import FeatureMap, KernelSpec, kernel_matrix, mercer_truncate
+from .kernels import FeatureMap, KernelSpec, _as_points, kernel_matrix, mercer_truncate
 from .util import chol_psd, clamp_variance, rng_from_path
 
 
@@ -143,15 +143,15 @@ class SvgpModel:
 
     def predict(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at each row of X."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = _as_points(self.spec.dim, X)
         C = self._cross(X)
         V, W = self._whiten(C)
         var = self.spec.variance - np.sum(V * V, axis=0) + np.sum(W * W, axis=0)
         return C.T @ self._a, clamp_variance(var)
 
     def cov(self, X, X2=None) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        X2m = X if X2 is None else np.atleast_2d(np.asarray(X2, dtype=float))
+        X = _as_points(self.spec.dim, X)
+        X2m = X if X2 is None else _as_points(self.spec.dim, X2)
         Va, Wa = self._whiten(self._cross(X))
         Vb, Wb = (Va, Wa) if X2 is None else self._whiten(self._cross(X2m))
         return kernel_matrix(self.spec, X, X2m) - Va.T @ Vb + Wa.T @ Wb

@@ -124,10 +124,8 @@ def check_sampler_moments(n_draws: int = 20_000) -> tuple[bool, str]:
     _, cov_s = decoupled_mean_cov(model, fm, 1.0, probes)
     slack = np.abs(np.diag(cov_s) - ve)
     s1, s2 = DrawSetup(model, fm, 1.0), DrawSetup(model, fm, 2.0)
-    d1 = np.stack([s1.draw(np.random.default_rng(derive_seed(1001, b))).eval_many(probes)
-                   for b in range(n_draws)])
-    d2 = np.stack([s2.draw(np.random.default_rng(derive_seed(1002, b))).eval_many(probes)
-                   for b in range(n_draws)])
+    d1 = s1.values(probes, [derive_seed(1001, b) for b in range(n_draws)])
+    d2 = s2.values(probes, [derive_seed(1002, b) for b in range(n_draws)])
     mean_gap = np.abs(d1.mean(axis=0) - me)
     se = np.sqrt(ve / n_draws)
     v1 = d1.var(axis=0, ddof=1)

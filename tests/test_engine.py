@@ -137,6 +137,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="not key=value"):
             parse_config("objective = multimodal1d\n", overrides=("T",))
 
+    def test_lines_and_overrides_share_one_rule(self):
+        # the same item gives the same error from a file line and from an override
+        for item, msg in [("T", "'T' is not key=value"),
+                          ("bogus = 1", "unknown field 'bogus'"),
+                          ("T = soon", "bad value 'soon' for field 'T'")]:
+            with pytest.raises(ConfigError, match=f"^line 2: {msg}$"):
+                parse_config(f"objective = multimodal1d\n{item}\n")
+            with pytest.raises(ConfigError, match=f"^override: {msg}$"):
+                parse_config("objective = multimodal1d\n", overrides=(item,))
+
     def test_multid_lengthscale(self):
         cfg = parse_config("objective = multimodal2d\nlengthscale = 0.1,0.3\n")
         assert cfg.lengthscale == (0.1, 0.3)
@@ -295,6 +305,9 @@ class TestBelievedBest:
         cands = np.linspace(0, 1, 21).reshape(-1, 1)
         x, idx = believed_best(model, cands)
         assert abs(x[0] - 0.6) < 1e-12
+        # a flat candidate list is points in 1-d, as everywhere else
+        x_flat, idx_flat = believed_best(model, cands.ravel())
+        assert idx_flat == idx and np.array_equal(x_flat, x)
 
     def test_duplicates_after_argmax_do_not_move_it(self):
         spec = KernelSpec(family="se", dim=1, lengthscales=(0.2,))

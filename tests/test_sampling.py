@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import qmc
 
+from sgpts import sampling
 from sgpts.errors import InvalidInputError
 from sgpts.exact_gp import Dataset, fit_exact
 from sgpts.kernels import (
@@ -41,13 +44,6 @@ def fitted_features_model(rng, fm, m=10, n=10, tau=0.2):
     return data, fit_svgp_closed_form(data, SE1, tau, feature_map=fm, m=m)
 
 
-def draw_values(setup, key, n_draws, probes):
-    """Values at the probes of draws b < n_draws with seeds derive_seed(key, b), all
-    from one set-up: the draws draw_sample gives for those seeds, shape (n_draws, n_probes)."""
-    return np.stack([setup.draw(np.random.default_rng(derive_seed(key, b))).eval_many(probes)
-                     for b in range(n_draws)])
-
-
 VARIANT_CASES = ["points-mercer", "points-rff", "features-mercer"]
 
 
@@ -79,12 +75,26 @@ class TestMeanInvariance:
             quiet = SampleFunction(model=model, fm=fm, alpha=alpha, w=np.zeros(fm.count), v=v)
             assert np.abs(quiet.eval_many(probes) - want).max() < 1e-8
 
+    @pytest.mark.parametrize("case", VARIANT_CASES)
+    @settings(derandomize=True, deadline=None)
+    @given(alpha=st.floats(min_value=1.0, max_value=1e6))
+    def test_quiet_draw_is_model_mean_for_every_alpha(self, case, alpha):
+        # a generator of zeros makes the draw itself take u = m and w = 0
+        class Zeros:
+            def standard_normal(self, n):
+                return np.zeros(n)
+
+        model, fm = fitted_case(case, np.random.default_rng(0))
+        probes = np.linspace(0, 1, 17).reshape(-1, 1)
+        quiet = DrawSetup(model, fm, alpha).draw(Zeros())
+        assert np.abs(quiet.eval_many(probes) - model.predict(probes)[0]).max() < 1e-8
+
     def test_monte_carlo_mean_matches_for_alpha_2(self):
         rng = np.random.default_rng(1)
         data, model = fitted_points_model(rng)
         fm = mercer_truncate(SE1, 80, [0.0], [1.0])
         probes = np.array([[0.2], [0.5], [0.8]])
-        draws = draw_values(DrawSetup(model, fm, 2.0), 7, 3000, probes)
+        draws = DrawSetup(model, fm, 2.0).values(probes, [derive_seed(7, b) for b in range(3000)])
         mu_hat = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / np.sqrt(3000)
         want = model.predict(probes)[0]
@@ -105,7 +115,8 @@ class TestMomentsAgainstExact:
         probes = np.array([[0.15], [0.5], [0.85]])
         ev = exact.predict(probes)[1]
         n_draws = 4000
-        draws = draw_values(DrawSetup(model, fm, 1.0), 11, n_draws, probes)
+        seeds = [derive_seed(11, b) for b in range(n_draws)]
+        draws = DrawSetup(model, fm, 1.0).values(probes, seeds)
         var_hat = draws.var(axis=0, ddof=1)
         # sampling error of a variance estimate ~ var * sqrt(2/n)
         slack = ev * np.sqrt(2.0 / n_draws) * 4 + 1e-3
@@ -117,9 +128,9 @@ class TestMomentsAgainstExact:
         data, model = fitted_points_model(rng)
         fm = mercer_truncate(SE1, 256, [0.0], [1.0])
         probes = np.array([[0.3], [0.7]])
-        v1 = draw_values(DrawSetup(model, fm, 1.0), 5, 4000, probes).var(axis=0)
-        v2 = draw_values(DrawSetup(model, fm, 2.0), 6, 4000, probes).var(axis=0)
-        ratio = v2 / v1
+        v1 = DrawSetup(model, fm, 1.0).values(probes, [derive_seed(5, b) for b in range(4000)])
+        v2 = DrawSetup(model, fm, 2.0).values(probes, [derive_seed(6, b) for b in range(4000)])
+        ratio = v2.var(axis=0) / v1.var(axis=0)
         assert np.all(ratio > 3.5) and np.all(ratio < 4.5)
 
 
@@ -140,7 +151,7 @@ class TestAnalyticCovariance:
         fm = mercer_truncate(SE1, 128, [0.0], [1.0])
         probes = np.array([[0.25], [0.6]])
         _, cov = decoupled_mean_cov(model, fm, 1.0, probes)
-        draws = draw_values(DrawSetup(model, fm, 1.0), 21, 6000, probes)
+        draws = DrawSetup(model, fm, 1.0).values(probes, [derive_seed(21, b) for b in range(6000)])
         emp = np.cov(draws.T)
         assert np.abs(emp - cov).max() < 0.02
 
@@ -229,6 +240,84 @@ class TestDeterminism:
         assert derive_seed(123, 4) == derive_seed(123, 4)
         assert derive_seed(123, 4) != derive_seed(123, 5)
         assert derive_seed(123, 4) != derive_seed(124, 4)
+
+
+class TestDrawValues:
+    @pytest.mark.parametrize("case", VARIANT_CASES)
+    @pytest.mark.parametrize("n_draws", [1, 7])
+    def test_chunked_values_match_per_draw_within_dot_product_bound(self, case, n_draws,
+                                                                    monkeypatch):
+        # Both routes compute alpha (F W)_ib + (U V)_ib from the same W and V and
+        # differ only in summation order (one GEMM per chunk against one GEMV per
+        # draw).  A length-n dot product computed in floating point is within
+        # gamma_n |x|.|y| of the exact one, gamma_n = n eps / (1 - n eps); the
+        # scaling by alpha and the final add cost one rounding each.  So each
+        # route is within (M + m + 2) eps (alpha |F||W| + |U||V|) of the exact
+        # value, up to second-order terms, and the two routes within twice that.
+        model, fm = fitted_case(case, np.random.default_rng(15))
+        X = np.linspace(-0.1, 1.1, 23).reshape(-1, 1)
+        alpha = 1.7
+        setup = DrawSetup(model, fm, alpha)
+        seeds = [derive_seed(2024, b) for b in range(n_draws)]
+        draws = [setup.draw(np.random.default_rng(seed)) for seed in seeds]
+        want = np.stack([d.eval_many(X) for d in draws])
+        F = fm.features(X)
+        U = kernel_matrix(SE1, X, model.Z) if model.variant == "points" else F[:, : model.m_count]
+        scale = np.stack([(alpha * np.abs(F) @ np.abs(W) + np.abs(U) @ np.abs(V))[:, 0]
+                          for W, V in (d._coeffs() for d in draws)])
+        bound = 2 * (fm.count + model.m_count + 2) * np.finfo(float).eps * scale
+
+        # three draws a chunk: chunks of 3, 3 and a ragged 1 for seven draws
+        monkeypatch.setattr(sampling, "_CHUNK_CELLS", 3 * fm.count)
+        widths = []
+        on_basis = SampleFunction._on_basis
+
+        def counted(F, U, alpha, W, V):
+            widths.append(W.shape[1])
+            return on_basis(F, U, alpha, W, V)
+
+        monkeypatch.setattr(SampleFunction, "_on_basis", staticmethod(counted))
+        got = setup.values(X, seeds)
+        assert widths == ([1] if n_draws == 1 else [3, 3, 1])
+        assert got.shape == (n_draws, X.shape[0])
+        assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("case", VARIANT_CASES)
+    def test_select_batch_is_argmax_of_values(self, case):
+        model, fm = fitted_case(case, np.random.default_rng(16))
+        grid = build_grid([0.0], [1.0], t=3, lipschitz=2.0, cap=4000)
+        seeds = [derive_seed(99, b) for b in range(6)]
+        vals = DrawSetup(model, fm, 1.3).values(grid.points, seeds)
+        F = fm.features(grid.points)
+        assert np.array_equal(vals, DrawSetup(model, fm, 1.3).values(grid.points, seeds, F=F))
+        pts, idx = select_batch(model, fm, grid, B=6, alpha=1.3, step_seed=99)
+        assert np.array_equal(idx, np.argmax(vals, axis=1))
+        assert np.array_equal(pts, grid.points[idx])
+
+
+class TestInputPoints:
+    @pytest.mark.parametrize("case", VARIANT_CASES)
+    def test_flat_input_is_points_in_one_dimension(self, case):
+        model, fm = fitted_case(case, np.random.default_rng(18))
+        flat, col = [0.2, 0.5, 0.7], np.array([[0.2], [0.5], [0.7]])
+        draw = draw_sample(model, fm, 1.0, seed=4)
+        exact = fit_exact(Dataset(col, np.array([0.1, -0.3, 0.4]), 1, 3), SE1, 0.2)
+        for f in (fm.features, draw.eval_many, lambda X: model.predict(X)[0],
+                  model.cov, lambda X: exact.predict(X)[1], exact.cov):
+            assert np.array_equal(f(flat), f(col))
+
+    @pytest.mark.parametrize("case", VARIANT_CASES)
+    def test_nan_points_raise(self, case):
+        model, fm = fitted_case(case, np.random.default_rng(19))
+        col = np.array([[0.2], [0.5]])
+        exact = fit_exact(Dataset(col, np.array([0.1, -0.3]), 1, 2), SE1, 0.2)
+        draw = draw_sample(model, fm, 1.0, seed=4)
+        for f in (fm.features, draw.eval_many, model.predict, model.cov,
+                  exact.predict, exact.cov):
+            with pytest.raises(InvalidInputError):
+                f([[np.nan]])
+        with pytest.raises(InvalidInputError):
+            DrawSetup(model, fm, 1.0).values([[0.3], [np.inf]], [1])
 
 
 class TestGrid:
