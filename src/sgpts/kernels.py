@@ -86,11 +86,19 @@ class KernelSpec:
 
 
 def _scaled_sqdist(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """|a - b|^2 on lengthscale-scaled points as |a|^2 + |b|^2 - 2 a.b, clamped at 0.
+
+    Computed in place into two (n, m) buffers; b is scaled separately even
+    when B is A, so the product stays a GEMM (numpy takes a @ a.T to SYRK).
+    """
     ls = np.asarray(spec.lengthscales)
     a = A / ls
     b = B / ls
-    d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(d2, 0.0)
+    G = a @ b.T
+    G *= 2.0
+    d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+    d2 -= G
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _as_points(dim: int, X) -> np.ndarray:
@@ -109,15 +117,22 @@ def kernel_matrix(spec: KernelSpec, A, B=None) -> np.ndarray:
     """Cross-covariance matrix k(A, B); B defaults to A."""
     A = _as_points(spec.dim, A)
     B = A if B is None else _as_points(spec.dim, B)
-    d2 = _scaled_sqdist(spec, A, B)
+    # in place, in the order of v exp(-d2/2), v (1 + z) exp(-z) and
+    # v ((1 + z) + z^2/3) exp(-z)
+    K = _scaled_sqdist(spec, A, B)
     if spec.family == "se":
-        return spec.variance * np.exp(-0.5 * d2)
-    r = np.sqrt(d2)
-    if spec.nu == 1.5:
-        z = math.sqrt(3.0) * r
-        return spec.variance * (1.0 + z) * np.exp(-z)
-    z = math.sqrt(5.0) * r
-    return spec.variance * (1.0 + z + z * z / 3.0) * np.exp(-z)
+        K *= -0.5
+        np.exp(K, out=K)
+        K *= spec.variance
+        return K
+    z = np.sqrt(K, out=K)
+    z *= math.sqrt(3.0 if spec.nu == 1.5 else 5.0)
+    poly = z + 1.0
+    if spec.nu == 2.5:
+        poly += z * z / 3.0
+    poly *= spec.variance
+    poly *= np.exp(np.negative(z, out=z), out=z)
+    return poly
 
 
 def eval_kernel(spec: KernelSpec, x, x2) -> float:

@@ -21,9 +21,10 @@ S from its eigendecomposition, sqrt(lambda), and for points Phi = Phi(Z).
 Once per draw: w, u and the solve for v.  Once per set of evaluation points:
 the basis (F, U), with F the prior features and U = k(X, Z) for points or the
 leading m columns of F for features.  DrawSetup.values scores many seeded
-draws on one basis: a chunk of draws' weights is stacked into W (M x k) and
-V (m x k) and scored as alpha F W + U V, one product per chunk, with W capped
-at _CHUNK_CELLS cells (up to 8192 draws on an M <= 512 map is one product).
+draws on one basis: a chunk of draws' weights is written into the rows of
+two buffers, copied once into C-ordered W (M x k) and V (m x k), and scored as
+alpha F W + U V, one product per chunk, with W capped at _CHUNK_CELLS cells
+(up to 8192 draws on an M <= 512 map is one product).
 
 In a run, F on the candidate grid is computed once per distinct grid (the
 grid stops changing once it is capped) and passed to select_batch; U, Phi(Z)
@@ -116,10 +117,16 @@ class DrawSetup:
         chunk = max(1, _CHUNK_CELLS // self.fm.count)
         out = np.empty((X.shape[0], len(seeds)))
         for lo in range(0, len(seeds), chunk):
-            coeffs = [self.draw(np.random.default_rng(s))._coeffs() for s in seeds[lo:lo + chunk]]
-            W = np.hstack([c[0] for c in coeffs])
-            V = np.hstack([c[1] for c in coeffs])
-            out[:, lo:lo + len(coeffs)] = SampleFunction._on_basis(F, U, self.alpha, W, V)
+            block = seeds[lo:lo + chunk]
+            # one row per draw, then one transposing copy each: W and V must be
+            # C-ordered, since BLAS may sum a Fortran-ordered operand differently
+            WT = np.empty((len(block), self.fm.count))
+            VT = np.empty((len(block), U.shape[1]))
+            for j, s in enumerate(block):
+                w, v = self.draw(np.random.default_rng(s))._coeffs()
+                WT[j], VT[j] = w[:, 0], v[:, 0]
+            W, V = np.ascontiguousarray(WT.T), np.ascontiguousarray(VT.T)
+            out[:, lo:lo + len(block)] = SampleFunction._on_basis(F, U, self.alpha, W, V)
         return out.T
 
 

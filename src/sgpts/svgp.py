@@ -302,6 +302,11 @@ def select_inducing_kmeans(data: Dataset, m: int, seed: int) -> np.ndarray:
     Init draws m distinct rows; an emptied cluster is re-seeded with the
     point farthest from its assigned centroid; iteration stops when the
     assignment is stable or after 100 rounds.
+
+    Bit contract: for d <= 7 the centers are bit-identical to rounds that sum
+    an (n, m, d) broadcast of squared differences over its last axis and mean
+    each cluster under a boolean mask.  Distances are summed one coordinate at
+    a time, numpy's order for fewer than 8 terms (from 8 on it sums pairwise).
     """
     uniq = np.unique(data.X, axis=0)
     if m > uniq.shape[0]:
@@ -313,19 +318,30 @@ def select_inducing_kmeans(data: Dataset, m: int, seed: int) -> np.ndarray:
     X = data.X
     assign = np.full(X.shape[0], -1)
     for _ in range(100):
-        d2 = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        d2 = np.square(X[:, :1] - centers[:, 0])
+        for k in range(1, X.shape[1]):
+            d2 += np.square(X[:, k:k + 1] - centers[:, k])
         new_assign = np.argmin(d2, axis=1)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for c in range(m):
-            mask = assign == c
-            if np.any(mask):
-                centers[c] = X[mask].mean(axis=0)
-            else:
-                worst = int(np.argmax(d2[np.arange(X.shape[0]), assign]))
-                centers[c] = X[worst]
-                assign[worst] = c
+        counts = np.bincount(assign, minlength=m)
+        if counts.all():
+            # stable sort: each cluster's rows stay in index order, as under a mask
+            Xs = X[np.argsort(assign, kind="stable")]
+            ends = np.cumsum(counts)
+            for c in range(m):
+                centers[c] = Xs[ends[c] - counts[c]:ends[c]].mean(axis=0)
+        else:
+            # a re-seed moves a point between clusters mid-round: go cluster by cluster
+            for c in range(m):
+                mask = assign == c
+                if np.any(mask):
+                    centers[c] = X[mask].mean(axis=0)
+                else:
+                    worst = int(np.argmax(d2[np.arange(X.shape[0]), assign]))
+                    centers[c] = X[worst]
+                    assign[worst] = c
     return centers
 
 

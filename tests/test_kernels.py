@@ -7,6 +7,7 @@ from sgpts.errors import InvalidInputError, UnsupportedDecompositionError
 from sgpts.kernels import (
     FeatureMap,
     KernelSpec,
+    _scaled_sqdist,
     eval_kernel,
     kernel_matrix,
     mercer_truncate,
@@ -324,3 +325,59 @@ class TestFeatureLayerBits:
         F = fm.features(X)
         assert F.flags.c_contiguous
         assert np.array_equal(F, reference_rff_features(fm, X))
+
+
+# Out-of-place kernel matrices: the expressions the in-place evaluation in
+# sgpts.kernels must reproduce bit for bit.
+
+def reference_scaled_sqdist(spec, A, B):
+    ls = np.asarray(spec.lengthscales)
+    a = A / ls
+    b = B / ls
+    d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(d2, 0.0)
+
+
+def reference_kernel_matrix(spec, A, B):
+    d2 = reference_scaled_sqdist(spec, A, B)
+    if spec.family == "se":
+        return spec.variance * np.exp(-0.5 * d2)
+    r = np.sqrt(d2)
+    if spec.nu == 1.5:
+        z = math.sqrt(3.0) * r
+        return spec.variance * (1.0 + z) * np.exp(-z)
+    z = math.sqrt(5.0) * r
+    return spec.variance * (1.0 + z + z * z / 3.0) * np.exp(-z)
+
+
+KERNEL_BIT_SPECS = [
+    se(dim=1, ls=0.3, var=0.6),
+    se(dim=6, ls=0.4),
+    matern(1.5, dim=2, ls=0.5, var=0.8),
+    matern(2.5, dim=6, ls=0.7),
+    KernelSpec(family="se", dim=3, lengthscales=(0.2, 0.9, 3.0), variance=0.9),
+    KernelSpec(family="matern", dim=3, lengthscales=(0.2, 0.9, 3.0), nu=1.5),
+    KernelSpec(family="matern", dim=3, lengthscales=(0.2, 0.9, 3.0), nu=2.5, variance=0.5),
+]
+KERNEL_BIT_IDS = ["se1", "se6", "m15", "m25-6d", "se-aniso", "m15-aniso", "m25-aniso"]
+
+
+class TestKernelMatrixBits:
+    @pytest.mark.parametrize("spec", KERNEL_BIT_SPECS, ids=KERNEL_BIT_IDS)
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 17), (17, 1), (40, 23)])
+    def test_matches_out_of_place_reference(self, spec, n, m):
+        rng = np.random.default_rng(n * 100 + m)
+        A = rng.uniform(-1.0, 2.0, size=(n, spec.dim))
+        # B shares rows with A, so some distances are exactly zero before the clamp
+        B = np.vstack([A[: m // 2], rng.uniform(-1.0, 2.0, size=(m - m // 2, spec.dim))])
+        assert np.array_equal(_scaled_sqdist(spec, A, B), reference_scaled_sqdist(spec, A, B))
+        assert np.array_equal(kernel_matrix(spec, A, B), reference_kernel_matrix(spec, A, B))
+        assert np.array_equal(kernel_matrix(spec, A), reference_kernel_matrix(spec, A, A))
+
+    @pytest.mark.parametrize("spec", [se(dim=6, ls=0.4), matern(2.5, dim=6, ls=0.7)],
+                             ids=["se", "matern"])
+    def test_grid_against_inducing_points(self, spec):
+        rng = np.random.default_rng(61)
+        grid = rng.uniform(0.0, 1.0, size=(8000, 6))
+        Z = rng.uniform(0.0, 1.0, size=(100, 6))
+        assert np.array_equal(kernel_matrix(spec, grid, Z), reference_kernel_matrix(spec, grid, Z))

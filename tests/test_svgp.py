@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgpts.util
 from sgpts.errors import (
@@ -278,6 +280,16 @@ class TestInducingSelection:
         with pytest.raises(InvalidInputError):
             select_inducing_greedy(data, SE1, 6)
 
+    def test_greedy_stop_early_on_duplicated_inputs(self):
+        rng = np.random.default_rng(21)
+        X = rng.uniform(0, 1, size=(3, 1))[[0, 1, 2, 1, 0, 2, 2, 0]]
+        data = Dataset(X, np.zeros(8), 1, 8)
+        Z = select_inducing_greedy(data, SE1, 5, stop_early=True)
+        assert Z.shape == (3, 1)
+        assert np.array_equal(np.sort(Z, axis=0), np.unique(X, axis=0))
+        with pytest.raises(NumericalDegeneracyError):
+            select_inducing_greedy(data, SE1, 5)
+
     def test_kmeans_recovers_distinct_points(self):
         rng = np.random.default_rng(18)
         X = rng.uniform(0, 1, size=(7, 2))
@@ -309,6 +321,81 @@ class TestInducingSelection:
         Z0 = X[rng_init.choice(40, 4, replace=False)]
         sse0 = np.sum((X[:, None, :] - Z0[None, :, :]) ** 2, axis=2).min(axis=1).sum()
         assert sse <= sse0 + 1e-9
+
+
+def reference_kmeans(X, m, seed):
+    """(centers, reseeds): Lloyd's rounds through an (n, m, d) broadcast and one
+    boolean mask per cluster, the loop select_inducing_kmeans must reproduce
+    bit for bit; reseeds counts the emptied clusters it re-seeded."""
+    uniq = np.unique(X, axis=0)
+    rng = sgpts.util.rng_from_path(seed, 0x4B4D)
+    centers = uniq[rng.choice(uniq.shape[0], size=m, replace=False)]
+    assign = np.full(X.shape[0], -1)
+    reseeds = 0
+    for _ in range(100):
+        d2 = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_assign = np.argmin(d2, axis=1)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for c in range(m):
+            mask = assign == c
+            if np.any(mask):
+                centers[c] = X[mask].mean(axis=0)
+            else:
+                worst = int(np.argmax(d2[np.arange(X.shape[0]), assign]))
+                centers[c] = X[worst]
+                assign[worst] = c
+                reseeds += 1
+    return centers, reseeds
+
+
+def assert_kmeans_matches_reference(X, m, seed):
+    want, reseeds = reference_kmeans(X, m, seed)
+    got = select_inducing_kmeans(Dataset(X, np.zeros(X.shape[0]), 1, X.shape[0]), m, seed)
+    assert np.array_equal(got, want)
+    return reseeds
+
+
+class TestKmeansBits:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
+    def test_random_instances(self, d):
+        rng = np.random.default_rng(40 + d)
+        for k in range(12):
+            n = int(rng.integers(2, 250))
+            m = int(rng.integers(1, min(n, 100) + 1))
+            # alternate spread inputs with tight blobs, whose clusters are uneven
+            if k % 2:
+                X = rng.uniform(-1.0, 2.0, size=(n, d))
+            else:
+                X = rng.normal(size=(5, d))[rng.integers(0, 5, n)] + 0.05 * rng.normal(size=(n, d))
+            assert_kmeans_matches_reference(X, m, seed=k)
+
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_duplicated_rows_with_m_distinct(self, d):
+        rng = np.random.default_rng(50 + d)
+        base = rng.uniform(0.0, 1.0, size=(9, d))
+        X = base[rng.integers(0, 9, 60)]
+        m = np.unique(X, axis=0).shape[0]
+        for seed in range(4):
+            assert_kmeans_matches_reference(X, m, seed)
+
+    def test_emptied_cluster_is_reseeded(self):
+        X = np.array([[0.8, 0.8], [0.8, 0.5], [0.3, 0.1], [0.1, 0.3], [0.2, 0.3],
+                      [0.9, 0.7], [0.8, 0.1], [0.5, 1.0], [0.2, 0.1]])
+        # one round empties a cluster, so the masked re-seed path runs there
+        assert assert_kmeans_matches_reference(X, 4, seed=2440) == 1
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(n=st.integers(1, 40), d=st.integers(1, 6), m_frac=st.floats(0.0, 1.0),
+           levels=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference_on_lattice_inputs(self, n, d, m_frac, levels, seed):
+        # inputs on a coarse lattice: duplicated rows and tied distances are common
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, levels, size=(n, d)) / (levels - 1)
+        n_distinct = np.unique(X, axis=0).shape[0]
+        m = 1 + int(m_frac * (n_distinct - 1))
+        assert_kmeans_matches_reference(X, m, seed)
 
 
 class TestApproximationConstants:
