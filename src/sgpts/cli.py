@@ -36,6 +36,10 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def _load_config(args) -> RunConfig:
+    return parse_config(Path(args.config).read_text(), tuple(args.override))
+
+
 def _one_run(cfg: RunConfig, seed: int):
     bench = get_benchmark(cfg.objective)
     t0 = time.time()
@@ -68,7 +72,7 @@ def _summary_csv(results) -> str:
 
 
 def cmd_run(args) -> int:
-    cfg = parse_config(Path(args.config).read_text(), tuple(args.override))
+    cfg = _load_config(args)
     seeds = _parse_seeds(args.seeds)
     outdir = Path(args.out)
     results = _run_all(cfg, seeds)
@@ -99,7 +103,7 @@ def _read_csv(path: Path) -> list[dict]:
 
 
 def cmd_bound(args) -> int:
-    cfg = parse_config(Path(args.config).read_text(), tuple(args.override))
+    cfg = _load_config(args)
     bench = get_benchmark(cfg.objective)
     cfg = resolve_config(cfg, bench)
     outdir = Path(args.out)
@@ -136,7 +140,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = parse_config(Path(args.config).read_text(), tuple(args.override))
+    cfg = _load_config(args)
     bench = get_benchmark(cfg.objective)
     rcfg = resolve_config(cfg, bench)
     seeds = _parse_seeds(args.seeds)
@@ -179,30 +183,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scalable Thompson-sampling optimization with sparse GP surrogates",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="key=value config file")
+    config.add_argument("--override", action="append", default=[],
+                        help="key=value config override (repeatable)")
 
-    run_p = sub.add_parser("run", help="execute optimization runs and write CSV logs")
-    run_p.add_argument("--config", required=True, help="key=value config file")
+    run_p = sub.add_parser("run", parents=[config],
+                           help="execute optimization runs and write CSV logs")
     run_p.add_argument("--seeds", default="0", help="comma-separated seed list")
     run_p.add_argument("--out", default="runs", help="output directory")
-    run_p.add_argument("--override", action="append", default=[],
-                       help="key=value config override (repeatable)")
     run_p.set_defaults(fn=cmd_run)
 
     ver_p = sub.add_parser("verify", help="run the native correctness checks")
     ver_p.add_argument("--level", choices=("quick", "full"), default="quick")
     ver_p.set_defaults(fn=cmd_verify)
 
-    bound_p = sub.add_parser("bound", help="overlay the regret bound on finished runs")
-    bound_p.add_argument("--config", required=True)
+    bound_p = sub.add_parser("bound", parents=[config],
+                             help="overlay the regret bound on finished runs")
     bound_p.add_argument("--out", default="runs", help="directory holding run CSVs")
-    bound_p.add_argument("--override", action="append", default=[])
     bound_p.set_defaults(fn=cmd_bound)
 
-    bench_p = sub.add_parser("bench", help="compare against the random-search baseline")
-    bench_p.add_argument("--config", required=True)
+    bench_p = sub.add_parser("bench", parents=[config],
+                             help="compare against the random-search baseline")
     bench_p.add_argument("--seeds", default="0,1,2")
     bench_p.add_argument("--out", default="bench")
-    bench_p.add_argument("--override", action="append", default=[])
     bench_p.set_defaults(fn=cmd_bench)
 
     cert_p = sub.add_parser("certify", help="re-check the stored benchmark optima")

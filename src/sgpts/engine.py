@@ -6,10 +6,12 @@ horizon-driven growth rules for inducing sizes, and regret accounting.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
+from operator import attrgetter
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -39,11 +41,23 @@ from .svgp import (
     select_inducing_kmeans,
     precision_sup_norm,
 )
-from .util import as_box, format_float, rng_from_path
+from .util import as_box, rng_from_path
 
 _NOISE_TAG = 7777
 _RFF_TAG = 909
 _KMEANS_TAG = 303
+
+
+# allowed values of each choice field of RunConfig
+_CHOICES = {
+    "variant": ("points", "features"),
+    "kernel": ("se", "matern"),
+    "m_mode": ("fixed", "growth"),
+    "features": ("auto", "mercer", "rff"),
+    "inducing": ("greedy", "kmeans"),
+    "alpha_mode": ("fixed", "theoretical"),
+    "gamma_mode": ("realized", "envelope"),
+}
 
 
 @dataclass(frozen=True)
@@ -82,26 +96,14 @@ class RunConfig:
     def validate(self) -> None:
         if not self.objective:
             raise ConfigError("missing required field 'objective'")
-        if self.T < 1:
-            raise ConfigError("field 'T' must be >= 1")
-        if self.B < 1:
-            raise ConfigError("field 'B' must be >= 1")
-        if self.variant not in ("points", "features"):
-            raise ConfigError("field 'variant' must be points or features")
-        if self.kernel not in ("se", "matern"):
-            raise ConfigError("field 'kernel' must be se or matern")
-        if self.m < 1:
-            raise ConfigError("field 'm' must be >= 1")
-        if self.m_mode not in ("fixed", "growth"):
-            raise ConfigError("field 'm_mode' must be fixed or growth")
-        if self.M < 1:
-            raise ConfigError("field 'M' must be >= 1")
-        if self.features not in ("auto", "mercer", "rff"):
-            raise ConfigError("field 'features' must be auto, mercer, or rff")
-        if self.inducing not in ("greedy", "kmeans"):
-            raise ConfigError("field 'inducing' must be greedy or kmeans")
-        if self.alpha_mode not in ("fixed", "theoretical"):
-            raise ConfigError("field 'alpha_mode' must be fixed or theoretical")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                *head, last = allowed
+                raise ConfigError(f"field '{name}' must be "
+                                  f"{', '.join(head)}{',' * (len(head) > 1)} or {last}")
+        for name in ("T", "B", "m", "M"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"field '{name}' must be >= 1")
         if self.alpha_mode == "fixed" and self.alpha < 1.0:
             raise ConfigError("field 'alpha' must be >= 1 in fixed mode")
         if not 0 < self.delta < 1:
@@ -110,8 +112,6 @@ class RunConfig:
             raise ConfigError("field 'eps0' must be non-negative")
         if self.b_norm <= 0:
             raise ConfigError("field 'b_norm' must be positive")
-        if self.gamma_mode not in ("realized", "envelope"):
-            raise ConfigError("field 'gamma_mode' must be realized or envelope")
         if self.grid_cap < 2:
             raise ConfigError("field 'grid_cap' must be >= 2")
         if self.noise_var is not None and self.noise_var < 0:
@@ -142,33 +142,11 @@ class RunConfig:
         return "mercer" if self.kernel == "se" else "rff"
 
 
-# config files are plain "key = value" lines; blank lines and # comments skip
-_CONFIG_PARSERS = {
-    "objective": str,
-    "T": int,
-    "B": int,
-    "variant": str,
-    "kernel": str,
-    "nu": float,
-    "lengthscale": lambda s: tuple(float(p) for p in s.split(",")),
-    "variance": float,
-    "noise_var": float,
-    "tau": float,
-    "m": int,
-    "m_mode": str,
-    "M": int,
-    "features": str,
-    "inducing": str,
-    "alpha_mode": str,
-    "alpha": float,
-    "delta": float,
-    "eps0": float,
-    "b_norm": float,
-    "r_sub": float,
-    "gamma_mode": str,
-    "lipschitz": float,
-    "grid_cap": int,
-}
+# config files are plain "key = value" lines; blank lines and # comments skip.
+# A value parses by its field's declared type, Optional[float] as float; the one
+# tuple, lengthscale, is comma-separated floats.
+_PARSERS = {name: (get_args(tp) or (tp,))[0] for name, tp in get_type_hints(RunConfig).items()}
+_PARSERS["lengthscale"] = lambda s: tuple(float(p) for p in s.split(","))
 
 
 def parse_config(text: str, overrides: tuple = ()) -> RunConfig:
@@ -181,10 +159,10 @@ def parse_config(text: str, overrides: tuple = ()) -> RunConfig:
         if "=" not in item:
             raise ConfigError(f"{where}: '{item}' is not key=value")
         key, _, value = (part.strip() for part in item.partition("="))
-        if key not in _CONFIG_PARSERS:
+        if key not in _PARSERS:
             raise ConfigError(f"{where}: unknown field '{key}'")
         try:
-            fields[key] = _CONFIG_PARSERS[key](value)
+            fields[key] = _PARSERS[key](value)
         except ValueError:
             raise ConfigError(f"{where}: bad value '{value}' for field '{key}'") from None
     if "objective" not in fields:
@@ -214,8 +192,31 @@ def resolve_config(cfg: RunConfig, bench: Benchmark) -> RunConfig:
                    lipschitz=lipschitz, lengthscale=ls)
 
 
+# coercion of a log-record field by its declared type; the CSV writes each
+# coerced int or float as its repr, which for a float is its format_float text
+_COERCE = {int: int, float: float,
+           tuple: lambda v: tuple(float(c) for c in np.asarray(v).ravel())}
+_CSV_NAMES = {"n_grid": "N_t"}     # CSV headers that differ from the field name
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """Declared type of each field of a record class, in field order."""
+    return get_type_hints(cls)
+
+
+class _Record:
+    """Base of the log records: every field is coerced to its declared type on
+    construction, so a numpy int is logged as 3, never as 3.0."""
+
+    def __post_init__(self):
+        # the records are frozen: write the coerced values straight into __dict__
+        vars(self).update([(name, _COERCE[tp](getattr(self, name)))
+                           for name, tp in _field_types(type(self)).items()])
+
+
 @dataclass(frozen=True)
-class RowRecord:
+class RowRecord(_Record):
     t: int
     b: int
     x: tuple
@@ -230,7 +231,7 @@ class RowRecord:
 
 
 @dataclass(frozen=True)
-class StepRecord:
+class StepRecord(_Record):
     t: int
     alpha_t: float
     b_t: float
@@ -245,8 +246,27 @@ class StepRecord:
     c_t: float
 
 
-_ROW_FIELDS = ["y", "f_true", "alpha_t", "beta_t", "N_t", "m_t", "cum_regret", "simple_regret"]
-_STEP_HEADER = "t,alpha_t,b_t,beta_t,N_t,m_t,gamma_t,kappa_t,eps_t,a_under_t,a_over_t,c_t"
+# the step columns named after ApproxQuality fields (kappa_t for kappa, ...)
+_QUALITY_COLUMNS = {f"{name}_t": name for name in get_type_hints(ApproxQuality)
+                    if f"{name}_t" in _field_types(StepRecord)}
+
+
+def _csv_lines(cls, records: list, dim: int = 0) -> list:
+    """Header, then one line per record; a tuple field expands to name_1..name_dim."""
+    types = _field_types(cls)
+    header = []
+    for name, tp in types.items():
+        header += [f"{name}_{i + 1}" for i in range(dim)] if tp is tuple \
+            else [_CSV_NAMES.get(name, name)]
+    get, template = attrgetter(*types), ",".join(["%r"] * len(header))
+    tuples = [i for i, tp in enumerate(types.values()) if tp is tuple]
+    lines = [",".join(header)]
+    for r in records:
+        values = get(r)
+        for i in reversed(tuples):      # splice each tuple's entries in place
+            values = values[:i] + values[i] + values[i + 1:]
+        lines.append(template % values)
+    return lines
 
 
 @dataclass
@@ -260,16 +280,13 @@ class RunLog:
     aborted: bool = False
     abort_reason: str = ""
 
-    def add_row(self, t, b, x, y, f_true, alpha_t, beta_t, n_grid, m_t,
-                cum_regret, simple_regret) -> None:
-        x = tuple(float(v) for v in np.asarray(x).ravel())
-        if len(x) != self.dim:
+    def add_row(self, **kw) -> None:
+        row = RowRecord(**kw)
+        if len(row.x) != self.dim:
             raise InvalidInputError("point dimension does not match the log")
-        if self.rows and cum_regret < self.rows[-1].cum_regret - 1e-12:
+        if self.rows and row.cum_regret < self.rows[-1].cum_regret - 1e-12:
             raise InvalidInputError("cumulative regret must be non-decreasing")
-        self.rows.append(RowRecord(int(t), int(b), x, float(y), float(f_true),
-                                   float(alpha_t), float(beta_t), int(n_grid),
-                                   int(m_t), float(cum_regret), float(simple_regret)))
+        self.rows.append(row)
 
     def add_step(self, **kw) -> None:
         self.steps.append(StepRecord(**kw))
@@ -291,27 +308,11 @@ class RunLog:
         return Dataset(X, y, B, len(self.rows) // B)
 
     def to_csv(self) -> str:
-        cols = ["run_seed", "t", "b"] + [f"x_{i+1}" for i in range(self.dim)] + _ROW_FIELDS
-        lines = [",".join(cols)]
-        for r in self.rows:
-            cells = [str(self.run_seed), str(r.t), str(r.b)]
-            cells += [format_float(v) for v in r.x]
-            cells += [format_float(r.y), format_float(r.f_true), format_float(r.alpha_t),
-                      format_float(r.beta_t), str(r.n_grid), str(r.m_t),
-                      format_float(r.cum_regret), format_float(r.simple_regret)]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        head, *lines = _csv_lines(RowRecord, self.rows, self.dim)
+        return "".join([f"run_seed,{head}\n"] + [f"{self.run_seed},{line}\n" for line in lines])
 
     def steps_to_csv(self) -> str:
-        lines = [_STEP_HEADER]
-        for s in self.steps:
-            lines.append(",".join([
-                str(s.t), format_float(s.alpha_t), format_float(s.b_t),
-                format_float(s.beta_t), str(s.n_grid), str(s.m_t),
-                format_float(s.gamma_t), format_float(s.kappa_t), format_float(s.eps_t),
-                format_float(s.a_under_t), format_float(s.a_over_t), format_float(s.c_t),
-            ]))
-        return "\n".join(lines) + "\n"
+        return "\n".join(_csv_lines(StepRecord, self.steps)) + "\n"
 
 
 def schedule_alpha(t: float, n_grid: float, cfg: RunConfig, gamma: float,
@@ -511,11 +512,8 @@ def run_sgp_ts(cfg: RunConfig, bench: Benchmark, seed: int) -> RunLog:
         log.add_step(
             t=t, alpha_t=alpha_t, b_t=b_t, beta_t=beta_t, n_grid=grid.n_points,
             m_t=m_logged, gamma_t=gamma_t,
-            kappa_t=quality.kappa if quality else math.nan,
-            eps_t=quality.eps if quality else math.nan,
-            a_under_t=quality.a_under if quality else math.nan,
-            a_over_t=quality.a_over if quality else math.nan,
-            c_t=quality.c if quality else math.nan,
+            **{col: math.nan if quality is None else getattr(quality, name)
+               for col, name in _QUALITY_COLUMNS.items()},
         )
     return log
 

@@ -62,12 +62,13 @@ class SvgpModel:
     variant) is set.  m_vec and S_mat are the moments of q(u).
 
     Predictions read three caches: _a = P^{-1} m, _chol_P = L_P and
-    _chol_Sigma = L_Sigma for Sigma = P S^{-1} P.  Closed-form fits pass the
-    ones they compute anyway; the prior model passes _chol_Sigma = _chol_P,
-    since Sigma = P when there is no data.  Any other construction (a
-    snapshot, a perturbed model) leaves them unset, and __post_init__ derives
-    all three from (m_vec, S_mat): L_P = chol(P), a by a Cholesky solve, and
-    Sigma = G^T G with G = L_S^{-1} P.
+    _chol_Sigma = L_Sigma for Sigma = P S^{-1} P.  Leaving m_vec and S_mat
+    unset gives the prior q(u) = N(0, P), with _a = 0 and _chol_Sigma =
+    _chol_P, since Sigma = P when there is no data.  Closed-form fits pass the
+    caches they compute anyway.  Any other construction (a snapshot, a
+    perturbed model) leaves them unset, and __post_init__ derives all three
+    from (m_vec, S_mat): L_P = chol(P), a by a Cholesky solve, and Sigma =
+    G^T G with G = L_S^{-1} P.
 
     Draws read m_vec and S_mat through eigh(S) and _chol_P through
     cho_solve, and the believed-best pick reads _a, so run logs carry their
@@ -80,8 +81,8 @@ class SvgpModel:
 
     spec: KernelSpec
     tau: float
-    m_vec: np.ndarray
-    S_mat: np.ndarray
+    m_vec: Optional[np.ndarray] = None
+    S_mat: Optional[np.ndarray] = None
     Z: Optional[np.ndarray] = None
     feature_map: Optional[FeatureMap] = None
     m_count: int = 0
@@ -100,13 +101,19 @@ class SvgpModel:
             if self.Z.shape[1] != self.spec.dim:
                 raise InvalidInputError("inducing points do not match kernel dimension")
         else:
-            if not 1 <= self.m_count <= self.feature_map.count:
-                raise InvalidInputError("m_count must lie in [1, feature_map.count]")
             if self.feature_map.kind != "mercer":
                 raise UnsupportedDecompositionError(
                     "the features variant needs an eigen-expansion map"
                 )
+            if not 1 <= self.m_count <= self.feature_map.count:
+                raise InvalidInputError("m_count must lie in [1, feature_map.count]")
         m = self.m_count
+        if (self.m_vec is None) != (self.S_mat is None):
+            raise InvalidInputError("set both m_vec and S_mat, or neither for the prior")
+        if self.m_vec is None:
+            P = self.prior_cov()
+            self.m_vec, self.S_mat, self._a = np.zeros(m), P, np.zeros(m)
+            self._chol_P = self._chol_Sigma = chol_psd(P)
         self.m_vec = np.asarray(self.m_vec, dtype=float).reshape(m)
         self.S_mat = np.asarray(self.S_mat, dtype=float).reshape(m, m)
         if self._a is None:
@@ -157,28 +164,6 @@ class SvgpModel:
         return kernel_matrix(self.spec, X, X2m) - Va.T @ Vb + Wa.T @ Wb
 
 
-def _prior_model(spec, tau, Z, feature_map, m) -> SvgpModel:
-    """q(u) = N(0, P) for whichever inducing family is set, caches filled."""
-    if (Z is None) == (feature_map is None):
-        raise InvalidInputError("supply exactly one of Z or feature_map")
-    if Z is not None:
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        P = kernel_matrix(spec, Z)
-    else:
-        if m is None:
-            raise InvalidInputError("features variant needs m")
-        if feature_map.kind != "mercer":
-            raise UnsupportedDecompositionError("the features variant needs an eigen-expansion map")
-        if not 1 <= m <= feature_map.count:
-            raise InvalidInputError("m must lie in [1, feature_map.count]")
-        P = np.diag(feature_map.lambdas[:m])
-    mc = P.shape[0]
-    cP = chol_psd(P)
-    return SvgpModel(spec=spec, tau=tau, m_vec=np.zeros(mc), S_mat=P, Z=Z,
-                     feature_map=feature_map, m_count=mc,
-                     _a=np.zeros(mc), _chol_P=cP, _chol_Sigma=cP)
-
-
 def fit_svgp_closed_form(
     data: Dataset,
     spec: KernelSpec,
@@ -188,7 +173,7 @@ def fit_svgp_closed_form(
     m: Optional[int] = None,
 ) -> SvgpModel:
     """Optimal q(u) for the conjugate likelihood; prior moments when data is empty."""
-    prior = _prior_model(spec, tau, Z, feature_map, m)
+    prior = SvgpModel(spec=spec, tau=tau, Z=Z, feature_map=feature_map, m_count=m or 0)
     if data.n == 0:
         return prior
     P = prior.S_mat
@@ -299,14 +284,17 @@ def select_inducing_greedy(data: Dataset, spec: KernelSpec, m: int,
 def select_inducing_kmeans(data: Dataset, m: int, seed: int) -> np.ndarray:
     """Lloyd's algorithm on the inputs; deterministic given the seed.
 
-    Init draws m distinct rows; an emptied cluster is re-seeded with the
-    point farthest from its assigned centroid; iteration stops when the
+    Init draws m distinct rows.  Each round first re-seeds every emptied
+    cluster, in index order, with its own row: the one farthest from its
+    assigned centroid among rows whose cluster keeps another member.  Then
+    every centroid is the mean of its rows.  Iteration stops when the
     assignment is stable or after 100 rounds.
 
-    Bit contract: for d <= 7 the centers are bit-identical to rounds that sum
-    an (n, m, d) broadcast of squared differences over its last axis and mean
-    each cluster under a boolean mask.  Distances are summed one coordinate at
-    a time, numpy's order for fewer than 8 terms (from 8 on it sums pairwise).
+    Bit contract: in rounds without an emptied cluster and for d <= 7, the
+    centers are bit-identical to rounds that sum an (n, m, d) broadcast of
+    squared differences over its last axis and mean each cluster under a
+    boolean mask.  Distances are summed one coordinate at a time, numpy's
+    order for fewer than 8 terms (from 8 on it sums pairwise).
     """
     uniq = np.unique(data.X, axis=0)
     if m > uniq.shape[0]:
@@ -326,22 +314,16 @@ def select_inducing_kmeans(data: Dataset, m: int, seed: int) -> np.ndarray:
             break
         assign = new_assign
         counts = np.bincount(assign, minlength=m)
-        if counts.all():
-            # stable sort: each cluster's rows stay in index order, as under a mask
-            Xs = X[np.argsort(assign, kind="stable")]
-            ends = np.cumsum(counts)
-            for c in range(m):
-                centers[c] = Xs[ends[c] - counts[c]:ends[c]].mean(axis=0)
-        else:
-            # a re-seed moves a point between clusters mid-round: go cluster by cluster
-            for c in range(m):
-                mask = assign == c
-                if np.any(mask):
-                    centers[c] = X[mask].mean(axis=0)
-                else:
-                    worst = int(np.argmax(d2[np.arange(X.shape[0]), assign]))
-                    centers[c] = X[worst]
-                    assign[worst] = c
+        for c in np.flatnonzero(counts == 0):
+            far = np.where(counts[assign] > 1, d2[np.arange(X.shape[0]), assign], -np.inf)
+            worst = int(np.argmax(far))
+            counts[assign[worst]] -= 1
+            assign[worst], counts[c] = c, 1
+        # stable sort: each cluster's rows stay in index order, as under a mask
+        Xs = X[np.argsort(assign, kind="stable")]
+        ends = np.cumsum(counts)
+        for c in range(m):
+            centers[c] = Xs[ends[c] - counts[c]:ends[c]].mean(axis=0)
     return centers
 
 

@@ -1,11 +1,17 @@
+import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from sgpts import engine
@@ -37,6 +43,18 @@ def tiny_cfg(**kw):
                 M=96, grid_cap=800)
     base.update(kw)
     return RunConfig(**base)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(0.0, 1e6, exclude_min=True)
+
+
+def is_valid(cfg):
+    try:
+        cfg.validate()
+    except ConfigError:
+        return False
+    return True
 
 
 class TestRunConfig:
@@ -151,6 +169,26 @@ class TestParseConfig:
         cfg = parse_config("objective = multimodal2d\nlengthscale = 0.1,0.3\n")
         assert cfg.lengthscale == (0.1, 0.3)
 
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(cfg=st.builds(
+        RunConfig,
+        objective=st.text("abcdefghijklmnopqrstuvwxyz0123456789_-", min_size=1, max_size=12),
+        T=st.integers(1, 10**6), B=st.integers(1, 10**6), m=st.integers(1, 10**6),
+        M=st.integers(1, 10**6), grid_cap=st.integers(2, 10**6),
+        nu=FINITE, lengthscale=st.lists(FINITE, min_size=1, max_size=6).map(tuple),
+        variance=st.floats(0.0, 1.0, exclude_min=True),
+        noise_var=st.none() | st.floats(0.0, 1e6), tau=st.none() | POSITIVE,
+        r_sub=st.none() | st.floats(0.0, 1e6), lipschitz=st.none() | POSITIVE,
+        alpha=st.floats(1.0, 1e6), delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        eps0=st.floats(0.0, 1e6), b_norm=POSITIVE,
+        **{name: st.sampled_from(allowed) for name, allowed in engine._CHOICES.items()},
+    ).filter(is_valid))
+    def test_any_valid_config_round_trips(self, cfg):
+        items = [f"{f.name} = {','.join(map(str, v)) if isinstance(v, tuple) else v}"
+                 for f in dataclasses.fields(cfg) if (v := getattr(cfg, f.name)) is not None]
+        assert parse_config("\n".join(items)) == cfg
+        assert parse_config("", overrides=tuple(items)) == cfg
+
 
 class TestRunLog:
     def test_row_dim_checked(self):
@@ -166,6 +204,18 @@ class TestRunLog:
         with pytest.raises(InvalidInputError):
             log.add_row(t=1, b=1, x=[0.5], y=0.0, f_true=0.0, alpha_t=1.0,
                         beta_t=1.0, n_grid=2, m_t=1, cum_regret=0.5, simple_regret=0.0)
+
+    def test_cells_follow_declared_types(self):
+        # numpy scalars are coerced on entry: ints log as ints, floats as their repr
+        log = RunLog(run_seed=np.int64(4), dim=1)
+        log.add_row(t=np.int64(1), b=np.int32(0), x=np.array([[0.25]]), y=np.float32(0.5),
+                    f_true=1, alpha_t=np.float64(1.5), beta_t=math.nan, n_grid=np.int64(3),
+                    m_t=np.int16(2), cum_regret=0, simple_regret=np.float64(0.1))
+        log.add_step(t=np.int64(1), alpha_t=1, b_t=np.float32(0.5), beta_t=2.0, n_grid=np.uint8(3),
+                     m_t=2, gamma_t=0.0, kappa_t=math.nan, eps_t=math.nan, a_under_t=math.nan,
+                     a_over_t=math.nan, c_t=math.nan)
+        assert log.to_csv().splitlines()[1] == "4,1,0,0.25,0.5,1.0,1.5,nan,3,2,0.0,0.1"
+        assert log.steps_to_csv().splitlines()[1] == "1,1.0,0.5,2.0,3,2,0.0,nan,nan,nan,nan,nan"
 
     def test_csv_shape_and_header(self):
         bench = get_benchmark("multimodal1d")
@@ -515,6 +565,43 @@ class TestRecordedRunLogs:
         log = run_sgp_ts(cfg, get_benchmark(cfg.objective), 0)
         got = hashlib.sha256(log.to_csv().encode()).hexdigest()
         assert got == digests["hartmann6-cap8000:0"]
+
+    def test_steps_and_baseline_csvs_match_recorded_digests(self):
+        """Steps CSVs of the shipped Mercer configs and a random-search baseline CSV
+        (NaN alpha_t/beta_t, N_t = 0), written in a process with BLAS at one
+        thread: gamma_t factors I + K / tau, which rounds differently across
+        BLAS thread counts once n exceeds about 130 rows."""
+        script = (
+            "import hashlib, json, sys\n"
+            "from pathlib import Path\n"
+            "from sgpts.benchmarks import get_benchmark, random_search\n"
+            "from sgpts.engine import parse_config, resolve_config, run_sgp_ts\n"
+            "sha = lambda text: hashlib.sha256(text.encode()).hexdigest()\n"
+            "out = {}\n"
+            "for name in ('multimodal1d', 'theoretical'):\n"
+            "    cfg = parse_config(Path(f'configs/{name}.cfg').read_text())\n"
+            "    for seed in (0, 1):\n"
+            "        log = run_sgp_ts(cfg, get_benchmark(cfg.objective), seed)\n"
+            "        out[f'{name}:{seed}:steps'] = sha(log.steps_to_csv())\n"
+            "bench = get_benchmark(cfg.objective)\n"
+            "cfg = resolve_config(parse_config(Path('configs/multimodal1d.cfg').read_text()), bench)\n"
+            "out['multimodal1d:0:baseline'] = sha(random_search(\n"
+            "    bench, cfg.noise_var, cfg.T * cfg.B, 0, cfg.B).to_csv())\n"
+            "json.dump(out, sys.stdout)\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                            os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=REPO, env=env,
+                              capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout) == {
+            "multimodal1d:0:steps": "33f5f0717ccc294d6eac063e3f2b6a28f325022fe97c1427632f3fac83737d0f",
+            "multimodal1d:1:steps": "c86c493f5593cd3cdae67b37e3b3b8146e7a09fd44aa448dd8123500d2523f5d",
+            "theoretical:0:steps": "3bff27e244825108942008e868f1a2d56ba17ff68e52f059fbe6d7eb9a10f3f3",
+            "theoretical:1:steps": "7158584bcd0966885856cca3017410cda78ae7335adb0780e40dd4bab160846c",
+            "multimodal1d:0:baseline": "ee7453e455cd7f13a5396ac368d5632771051bc8a5a7f0c502f5aeb26f52686c",
+        }
 
     def test_shipped_hartmann6_run_matches_recorded_digest(self):
         """hartmann6.cfg as shipped: 40000 Halton candidates scored in one product per batch."""

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sgpts.errors import InvalidInputError
 from sgpts.exact_gp import (
@@ -122,6 +125,19 @@ class TestDataset:
         assert np.array_equal(back.X, data.X)
         assert np.array_equal(back.y, data.y)
         assert (back.batch_size, back.steps) == (4, 3)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(shape=st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 4)),
+           data=st.data())
+    def test_csv_round_trip_is_bit_exact(self, shape, data):
+        steps, bsz, dim = shape
+        values = st.floats(allow_nan=False, width=64)
+        X = data.draw(hnp.arrays(float, (steps * bsz, dim), elements=values))
+        y = data.draw(hnp.arrays(float, steps * bsz, elements=values))
+        d = Dataset(X, y, bsz, steps)
+        back = Dataset.from_csv(d.to_csv())
+        assert back.X.tobytes() == d.X.tobytes() and back.y.tobytes() == d.y.tobytes()
+        assert (back.X.shape, back.batch_size, back.steps) == (d.X.shape, bsz, steps)
 
     @pytest.mark.parametrize(
         "rows",

@@ -326,7 +326,11 @@ class TestInducingSelection:
 def reference_kmeans(X, m, seed):
     """(centers, reseeds): Lloyd's rounds through an (n, m, d) broadcast and one
     boolean mask per cluster, the loop select_inducing_kmeans must reproduce
-    bit for bit; reseeds counts the emptied clusters it re-seeded."""
+    bit for bit; reseeds counts the emptied clusters it re-seeded.
+
+    A round first gives each emptied cluster, in index order, the row farthest
+    from its assigned center among rows whose cluster keeps another member,
+    then means every cluster."""
     uniq = np.unique(X, axis=0)
     rng = sgpts.util.rng_from_path(seed, 0x4B4D)
     centers = uniq[rng.choice(uniq.shape[0], size=m, replace=False)]
@@ -339,14 +343,14 @@ def reference_kmeans(X, m, seed):
             break
         assign = new_assign
         for c in range(m):
-            mask = assign == c
-            if np.any(mask):
-                centers[c] = X[mask].mean(axis=0)
-            else:
-                worst = int(np.argmax(d2[np.arange(X.shape[0]), assign]))
-                centers[c] = X[worst]
+            if not np.any(assign == c):
+                sizes = np.array([np.sum(assign == a) for a in assign])
+                dist = d2[np.arange(X.shape[0]), assign]
+                worst = int(np.argmax(np.where(sizes > 1, dist, -np.inf)))
                 assign[worst] = c
                 reseeds += 1
+        for c in range(m):
+            centers[c] = X[assign == c].mean(axis=0)
     return centers, reseeds
 
 
@@ -383,8 +387,18 @@ class TestKmeansBits:
     def test_emptied_cluster_is_reseeded(self):
         X = np.array([[0.8, 0.8], [0.8, 0.5], [0.3, 0.1], [0.1, 0.3], [0.2, 0.3],
                       [0.9, 0.7], [0.8, 0.1], [0.5, 1.0], [0.2, 0.1]])
-        # one round empties a cluster, so the masked re-seed path runs there
+        # one round empties a cluster, so the re-seed runs there
         assert assert_kmeans_matches_reference(X, 4, seed=2440) == 1
+
+    def test_clusters_emptied_in_one_round_get_distinct_rows(self):
+        # blob instance whose first round empties clusters 1 and 5: re-seeding
+        # both from the farthest row overall gave them one row, row 26, and other centers
+        rng = np.random.default_rng(1354)
+        n, d, k = int(rng.integers(5, 40)), int(rng.integers(1, 5)), int(rng.integers(2, 6))
+        X = rng.normal(size=(k, d))[rng.integers(0, k, n)] + 0.05 * rng.normal(size=(n, d))
+        m = int(rng.integers(2, 17))
+        assert (n, d, m) == (39, 2, 12)
+        assert assert_kmeans_matches_reference(X, m, seed=1354) >= 2
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(n=st.integers(1, 40), d=st.integers(1, 6), m_frac=st.floats(0.0, 1.0),
