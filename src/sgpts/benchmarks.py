@@ -138,12 +138,9 @@ class NoiseModel:
     """Additive zero-mean Gaussian observation noise."""
 
     variance: float
-    kind: str = "gaussian"
 
     def __post_init__(self):
-        if self.kind != "gaussian":
-            raise InvalidInputError(f"unsupported noise kind: {self.kind}")
-        if self.variance < 0:
+        if not self.variance >= 0:
             raise InvalidInputError("noise variance must be non-negative")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:

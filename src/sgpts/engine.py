@@ -24,6 +24,7 @@ from .errors import (
 )
 from .exact_gp import Dataset, concentration_radius, gamma_bound, information_gain
 from .kernels import (
+    _MATERN_NUS,
     FeatureMap,
     KernelSpec,
     _as_points,
@@ -57,6 +58,21 @@ _CHOICES = {
     "inducing": ("greedy", "kmeans"),
     "alpha_mode": ("fixed", "theoretical"),
     "gamma_mode": ("realized", "envelope"),
+}
+
+# acceptance test of each numeric field and the rule its message states; NaN
+# fails every test.  None, an objective default resolved later, is not tested.
+_AT_LEAST_1 = (lambda v: v >= 1, "be >= 1")
+_POSITIVE = (lambda v: v > 0, "be positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "be non-negative")
+_RULES = {
+    "T": _AT_LEAST_1, "B": _AT_LEAST_1, "m": _AT_LEAST_1, "M": _AT_LEAST_1,
+    "grid_cap": (lambda v: v >= 2, "be >= 2"),
+    "delta": (lambda v: 0 < v < 1, "lie in (0, 1)"),
+    "variance": (lambda v: 0 < v <= 1, "lie in (0, 1]"),
+    "lengthscale": (lambda v: all(l > 0 for l in v), "have positive entries"),
+    "eps0": _NON_NEGATIVE, "noise_var": _NON_NEGATIVE, "r_sub": _NON_NEGATIVE,
+    "b_norm": _POSITIVE, "tau": _POSITIVE, "lipschitz": _POSITIVE,
 }
 
 
@@ -101,40 +117,25 @@ class RunConfig:
                 *head, last = allowed
                 raise ConfigError(f"field '{name}' must be "
                                   f"{', '.join(head)}{',' * (len(head) > 1)} or {last}")
-        for name in ("T", "B", "m", "M"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"field '{name}' must be >= 1")
-        if self.alpha_mode == "fixed" and self.alpha < 1.0:
-            raise ConfigError("field 'alpha' must be >= 1 in fixed mode")
-        if not 0 < self.delta < 1:
-            raise ConfigError("field 'delta' must lie in (0, 1)")
-        if self.eps0 < 0:
-            raise ConfigError("field 'eps0' must be non-negative")
-        if self.b_norm <= 0:
-            raise ConfigError("field 'b_norm' must be positive")
-        if self.grid_cap < 2:
-            raise ConfigError("field 'grid_cap' must be >= 2")
-        if self.noise_var is not None and self.noise_var < 0:
-            raise ConfigError("field 'noise_var' must be non-negative")
-        if self.tau is not None and self.tau <= 0:
-            raise ConfigError("field 'tau' must be positive")
-        if self.r_sub is not None and self.r_sub < 0:
-            raise ConfigError("field 'r_sub' must be non-negative")
-        if self.lipschitz is not None and self.lipschitz <= 0:
-            raise ConfigError("field 'lipschitz' must be positive")
-        if self.variance <= 0 or self.variance > 1.0:
-            raise ConfigError("field 'variance' must lie in (0, 1]")
+        for name, v in vars(self).items():
+            if isinstance(v, (float, tuple)) and not np.all(np.isfinite(v)):
+                raise ConfigError(f"field '{name}' must be finite")
+        rules = {**_RULES,
+                 "alpha": (lambda v: v >= 1 or self.alpha_mode != "fixed",
+                           "be >= 1 in fixed mode"),
+                 "nu": (lambda v: v in _MATERN_NUS or self.kernel != "matern",
+                        "be 1.5 or 2.5 for kernel=matern")}
+        for name, (accept, rule) in rules.items():
+            v = getattr(self, name)
+            if v is not None and not accept(v):
+                raise ConfigError(f"field '{name}' must {rule}")
         if self.feature_kind() != "mercer":
             if self.variant == "features":
-                raise ConfigError(
-                    "field 'variant'=features needs an eigen-expansion map: "
-                    "set kernel=se with features=mercer or auto"
-                )
+                raise ConfigError("field 'variant'=features needs an eigen-expansion map: "
+                                  "set kernel=se with features=mercer or auto")
             if self.alpha_mode == "theoretical":
-                raise ConfigError(
-                    "field 'alpha_mode'=theoretical needs spectral tail masses: "
-                    "set kernel=se with features=mercer or auto"
-                )
+                raise ConfigError("field 'alpha_mode'=theoretical needs spectral tail masses: "
+                                  "set kernel=se with features=mercer or auto")
 
     def feature_kind(self) -> str:
         if self.features != "auto":
@@ -476,21 +477,17 @@ def run_sgp_ts(cfg: RunConfig, bench: Benchmark, seed: int) -> RunLog:
             # conservative stand-in for the spectral mass past the sampler's
             # truncation: the last computed term plus its geometric continuation
             delta_M = tail_mass(fm, fm.count - 1, fm.count)
-            eps_quiet = math.sqrt(c1_run * model.m_count * delta_M)
-            if t == 1:
-                quality = ApproxQuality(kappa=0.0, c=0.0, a_under=1.0, a_over=1.0,
-                                        eps=eps_quiet, delta_m=0.0, delta_M=delta_M)
-            else:
-                delta_m = _variance_defect(model, fm, data)
-                try:
-                    quality = approximation_constants(
-                        t - 1, cfg.B, model.m_count, cfg.tau, cfg.delta,
-                        delta_m, delta_M, c1_run, cfg.variant, cfg.eps0,
-                    )
-                except ExplorationInfeasibleError as e:
-                    log.aborted = True
-                    log.abort_reason = str(e)
-                    break
+            # the t = 1 model is the prior: no defect and no eps0, so kappa = 0
+            delta_m, eps0 = (0.0, 0.0) if t == 1 else (_variance_defect(model, fm, data), cfg.eps0)
+            try:
+                quality = approximation_constants(
+                    max(t - 1, 1), cfg.B, model.m_count, cfg.tau, cfg.delta,
+                    delta_m, delta_M, c1_run, cfg.variant, eps0,
+                )
+            except ExplorationInfeasibleError as e:
+                log.aborted = True
+                log.abort_reason = str(e)
+                break
         alpha_t, b_t, beta_t = schedule_alpha(t, grid.n_points, cfg, gamma_t, quality)
         step_seed = derive_seed(seed, t)
         if not np.array_equal(grid.points, grid_pts):

@@ -35,9 +35,10 @@ for ill-conditioned grams.
 
 from __future__ import annotations
 
-import io
+import json
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -407,77 +408,39 @@ def precision_sup_norm(model: SvgpModel) -> float:
 
 
 def write_snapshot(model: SvgpModel) -> str:
-    """Plain-text snapshot; load_snapshot reconstructs an equivalent model."""
-    buf = io.StringIO()
-    spec = model.spec
-    buf.write(f"variant={model.variant}\n")
-    buf.write(f"tau={model.tau!r}\n")
-    buf.write(f"kernel.family={spec.family}\n")
-    buf.write(f"kernel.dim={spec.dim}\n")
-    buf.write("kernel.lengthscales=" + ",".join(repr(l) for l in spec.lengthscales) + "\n")
-    buf.write(f"kernel.variance={spec.variance!r}\n")
-    if spec.nu is not None:
-        buf.write(f"kernel.nu={spec.nu!r}\n")
-    buf.write(f"m_count={model.m_count}\n")
-    if model.variant == "features":
-        kind = model.feature_map.origin[0]
-        if kind != "mercer":
-            raise UnsupportedDecompositionError("only eigen-expansion maps snapshot")
-        _, lo, hi = model.feature_map.origin
-        buf.write(f"fm.count={model.feature_map.count}\n")
-        buf.write("fm.lower=" + ",".join(repr(v) for v in lo) + "\n")
-        buf.write("fm.upper=" + ",".join(repr(v) for v in hi) + "\n")
-
-    def block(name, arr):
-        arr = np.atleast_2d(arr)
-        buf.write(f"[{name}]\n")
-        for row in arr:
-            buf.write(" ".join(repr(float(v)) for v in row) + "\n")
-
+    """JSON of the model's defining fields.  Each float is written as its repr,
+    so load_snapshot rebuilds m_vec, S_mat and Z bit for bit."""
+    doc = {"tau": model.tau, "kernel": asdict(model.spec),
+           "m_vec": model.m_vec.tolist(), "S_mat": model.S_mat.tolist()}
     if model.variant == "points":
-        block("Z", model.Z)
-    block("m_vec", model.m_vec)
-    block("S_mat", model.S_mat)
-    return buf.getvalue()
+        doc["Z"] = model.Z.tolist()
+    elif model.feature_map.origin[:1] != ("mercer",):
+        raise UnsupportedDecompositionError("only maps built by mercer_truncate snapshot")
+    else:
+        _, lower, upper = model.feature_map.origin
+        doc["features"] = {"m": model.m_count, "count": model.feature_map.count,
+                           "lower": lower, "upper": upper}
+    return json.dumps(doc, default=lambda v: v.item())     # numpy scalars as Python ones
 
 
 def load_snapshot(text: str) -> SvgpModel:
-    fields = {}
-    blocks = {}
-    current = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1]
-            blocks[current] = []
-        elif current is not None:
-            blocks[current].append([float(v) for v in line.split()])
-        else:
-            k, _, v = line.partition("=")
-            fields[k] = v
+    """Model from write_snapshot's JSON; a malformed document raises InvalidInputError."""
+    def numbers(obj, key: str, ndim: int) -> np.ndarray:
+        arr = np.array(obj[key], dtype=object)  # JSON numbers only: no bools, strings or nulls
+        if arr.ndim != ndim or not all(type(v) in (int, float) for v in arr.flat):
+            raise InvalidInputError(f"snapshot field {key!r} is not a {ndim}-d array of numbers")
+        return arr.astype(float)
     try:
-        spec = KernelSpec(
-            family=fields["kernel.family"],
-            dim=int(fields["kernel.dim"]),
-            lengthscales=tuple(float(v) for v in fields["kernel.lengthscales"].split(",")),
-            variance=float(fields["kernel.variance"]),
-            nu=float(fields["kernel.nu"]) if "kernel.nu" in fields else None,
-        )
-        tau = float(fields["tau"])
-        m_vec = np.asarray(blocks["m_vec"]).ravel()
-        S_mat = np.asarray(blocks["S_mat"])
-        if fields["variant"] == "points":
-            return SvgpModel(spec=spec, tau=tau, m_vec=m_vec, S_mat=S_mat,
-                             Z=np.asarray(blocks["Z"]))
-        fm = mercer_truncate(
-            spec,
-            int(fields["fm.count"]),
-            [float(v) for v in fields["fm.lower"].split(",")],
-            [float(v) for v in fields["fm.upper"].split(",")],
-        )
-        return SvgpModel(spec=spec, tau=tau, m_vec=m_vec, S_mat=S_mat,
-                         feature_map=fm, m_count=int(fields["m_count"]))
-    except KeyError as exc:
-        raise InvalidInputError(f"snapshot missing field {exc}") from exc
+        doc = json.loads(text)
+        spec, tau = KernelSpec(**doc["kernel"]), float(numbers(doc, "tau", 0))
+        q = numbers(doc, "m_vec", 1), numbers(doc, "S_mat", 2)
+        if "features" not in doc:
+            return SvgpModel(spec, tau, *q, Z=numbers(doc, "Z", 2))
+        f = doc["features"]
+        fm = mercer_truncate(spec, operator.index(f["count"]),
+                             numbers(f, "lower", 1), numbers(f, "upper", 1))
+        return SvgpModel(spec, tau, *q, feature_map=fm, m_count=operator.index(f["m"]))
+    except InvalidInputError:
+        raise
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        raise InvalidInputError(f"malformed snapshot: {exc}") from exc

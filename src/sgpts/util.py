@@ -1,10 +1,16 @@
 """Shared numerics and deterministic seed derivation.
 
-Seed scheme: every random stream is keyed by an integer path appended to the
-run seed, hashed through ``numpy.random.SeedSequence``.  Step streams use
-``(run_seed, t)``, per-draw streams ``(run_seed, t, b)``, and auxiliary
-streams append one more tag.  The same path always yields the same stream,
-independent of call order.
+Seed scheme: every random stream is keyed by an integer path that starts at
+the run seed, hashed through ``numpy.random.SeedSequence``: ``rng_from_path``
+turns a path into a generator, ``sampling.derive_seed`` into a 32-bit seed.
+``engine.run_sgp_ts`` keys its streams as follows:
+
+* draw b of step t: ``default_rng(derive_seed(derive_seed(run_seed, t), b))``;
+* observation noise of step t: ``rng_from_path(run_seed, t, 7777)``;
+* k-means refit after step t: ``rng_from_path(derive_seed(run_seed, t, 303), 0x4B4D)``;
+* random features: ``rng_from_path(derive_seed(run_seed, 909), 0x52FF)``.
+
+The same path always yields the same stream, independent of call order.
 """
 
 from __future__ import annotations

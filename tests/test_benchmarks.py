@@ -146,8 +146,6 @@ class TestNoiseModel:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             NoiseModel(-0.1)
-        with pytest.raises(InvalidInputError):
-            NoiseModel(0.1, kind="uniform")
 
 
 class TestCertification:

@@ -30,7 +30,7 @@ from sgpts.engine import (
     strict_regret,
 )
 from sgpts.errors import ConfigError, InvalidInputError, ScheduleUndefinedError
-from sgpts.exact_gp import Dataset, batch_sigma_bound
+from sgpts.exact_gp import Dataset, batch_sigma_bound, gamma_bound
 from sgpts.kernels import FeatureMap, KernelSpec
 from sgpts.svgp import fit_svgp_closed_form
 from sgpts.util import rng_from_path
@@ -86,11 +86,44 @@ class TestRunConfig:
             (dict(r_sub=-1.0), "'r_sub'"),
             (dict(lipschitz=0.0), "'lipschitz'"),
             (dict(variance=1.5), "'variance'"),
+            (dict(alpha=math.nan), "'alpha'"),
+            (dict(alpha=math.inf), "'alpha'"),
+            (dict(alpha_mode="theoretical", alpha=math.nan), "'alpha'"),
+            (dict(delta=math.nan), "'delta'"),
+            (dict(eps0=math.nan), "'eps0'"),
+            (dict(eps0=math.inf), "'eps0'"),
+            (dict(b_norm=math.nan), "'b_norm'"),
+            (dict(noise_var=math.nan), "'noise_var'"),
+            (dict(tau=math.nan), "'tau'"),
+            (dict(tau=math.inf), "'tau'"),
+            (dict(r_sub=math.nan), "'r_sub'"),
+            (dict(lipschitz=math.nan), "'lipschitz'"),
+            (dict(variance=math.nan), "'variance'"),
+            (dict(nu=math.nan), "'nu'"),
+            (dict(lengthscale=(0.0,)), "'lengthscale'"),
+            (dict(lengthscale=(0.1, -0.2)), "'lengthscale'"),
+            (dict(lengthscale=(math.nan,)), "'lengthscale'"),
+            (dict(lengthscale=(math.inf,)), "'lengthscale'"),
+            (dict(kernel="matern", nu=3.0), "'nu'"),
         ],
     )
     def test_each_invalid_field_is_named(self, kw, field):
         with pytest.raises(ConfigError, match=field.replace("'", "")):
             tiny_cfg(**kw).validate()
+
+    @pytest.mark.parametrize("item", ["alpha = nan", "tau = nan", "noise_var = nan",
+                                      "lipschitz = nan", "eps0 = nan", "b_norm = inf",
+                                      "r_sub = nan", "lengthscale = 0", "lengthscale = 0.1,inf"])
+    def test_non_finite_or_non_positive_value_rejected_at_parse_time(self, item):
+        field = item.partition(" ")[0]
+        with pytest.raises(ConfigError, match=f"field '{field}' must"):
+            parse_config("objective = multimodal1d\n", overrides=(item,))
+
+    def test_matern_nu_checked_only_for_matern(self):
+        tiny_cfg(kernel="matern", nu=1.5).validate()
+        tiny_cfg(kernel="se", nu=3.0).validate()
+        with pytest.raises(ConfigError, match="^field 'nu' must be 1.5 or 2.5 for kernel=matern$"):
+            parse_config("objective = multimodal1d\nkernel = matern\nnu = 3.0\n")
 
     def test_features_variant_needs_eigen_map(self):
         with pytest.raises(ConfigError, match="variant"):
@@ -175,7 +208,8 @@ class TestParseConfig:
         objective=st.text("abcdefghijklmnopqrstuvwxyz0123456789_-", min_size=1, max_size=12),
         T=st.integers(1, 10**6), B=st.integers(1, 10**6), m=st.integers(1, 10**6),
         M=st.integers(1, 10**6), grid_cap=st.integers(2, 10**6),
-        nu=FINITE, lengthscale=st.lists(FINITE, min_size=1, max_size=6).map(tuple),
+        nu=st.sampled_from((1.5, 2.5)) | FINITE,
+        lengthscale=st.lists(POSITIVE, min_size=1, max_size=6).map(tuple),
         variance=st.floats(0.0, 1.0, exclude_min=True),
         noise_var=st.none() | st.floats(0.0, 1e6), tau=st.none() | POSITIVE,
         r_sub=st.none() | st.floats(0.0, 1e6), lipschitz=st.none() | POSITIVE,
@@ -464,6 +498,18 @@ class TestRunLoop:
         cfg = tiny_cfg(kernel="matern", nu=2.5, features="rff", M=128)
         log = run_sgp_ts(cfg, bench, seed=1)
         assert len(log.rows) == 12 and not log.aborted
+
+    def test_envelope_gamma_mode_logs_the_envelope_and_leaves_the_run_alone(self):
+        bench = get_benchmark("multimodal1d")
+        realized = run_sgp_ts(tiny_cfg(), bench, seed=5)
+        envelope = run_sgp_ts(tiny_cfg(gamma_mode="envelope"), bench, seed=5)
+        spec = KernelSpec(family="se", dim=1, lengthscales=(0.1,))
+        # gamma_t is computed before step t observes, from the (t - 1) B rows so far
+        want = [gamma_bound(spec, max(2.0, float((t - 1) * 3)), 1) for t in range(1, 5)]
+        assert [s.gamma_t for s in envelope.steps] == want
+        assert [s.gamma_t for s in realized.steps] != want
+        # fixed alpha never reads gamma_t, so the selections and the run CSV match
+        assert envelope.to_csv() == realized.to_csv()
 
     def test_infeasible_exploration_aborts_with_partial_log(self):
         bench = get_benchmark("multimodal1d")

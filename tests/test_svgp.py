@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -449,13 +451,40 @@ class TestApproximationConstants:
         assert np.isclose(precision_sup_norm(model), 1 + np.abs(Pinv).sum(axis=1).max(), atol=1e-7)
 
 
+def snapshot_models():
+    """A fitted model of each variant, on the same kind of data."""
+    rng = np.random.default_rng(22)
+    data = spread_data(rng, 10)
+    fm = mercer_truncate(SE1, 40, [0.0], [1.0])
+    return data, {
+        "points": fit_svgp_closed_form(data, SE1, 0.2, Z=data.X[::2]),
+        "features": fit_svgp_closed_form(data, SE1, 0.3, feature_map=fm, m=10),
+    }
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestSnapshot:
-    def test_points_round_trip(self):
-        rng = np.random.default_rng(22)
-        data = spread_data(rng, 10)
-        model = fit_svgp_closed_form(data, SE1, 0.2, Z=data.X[::2])
+    @staticmethod
+    def check_round_trip(variant):
+        """The reloaded model has the same defining fields, bit for bit, and predicts the same."""
+        data, models = snapshot_models()
+        model = models[variant]
         back = load_snapshot(write_snapshot(model))
-        Xq = rng.uniform(0, 1, size=(6, 1))
+        assert back.variant == variant
+        assert back.spec == model.spec and back.tau == model.tau
+        assert back.m_count == model.m_count
+        assert same_bits(back.m_vec, model.m_vec)
+        assert same_bits(back.S_mat, model.S_mat)
+        if variant == "points":
+            assert same_bits(back.Z, model.Z)
+        else:
+            assert back.feature_map.origin == model.feature_map.origin
+            assert back.feature_map.count == model.feature_map.count
+            assert same_bits(back.feature_map.lambdas, model.feature_map.lambdas)
+        Xq = np.random.default_rng(23).uniform(0, 1, size=(6, 1))
         m0, v0 = model.predict(Xq)
         m1, v1 = back.predict(Xq)
         assert np.abs(m0 - m1).max() < 1e-12
@@ -463,18 +492,75 @@ class TestSnapshot:
         assert np.abs(model.cov(Xq) - back.cov(Xq)).max() < 1e-12
         assert abs(elbo(data, model) - elbo(data, back)) < 1e-12
 
+    def test_points_round_trip(self):
+        self.check_round_trip("points")
+
     def test_features_round_trip(self):
-        rng = np.random.default_rng(23)
-        data = spread_data(rng, 9)
-        fm = mercer_truncate(SE1, 40, [0.0], [1.0])
-        model = fit_svgp_closed_form(data, SE1, 0.3, feature_map=fm, m=10)
+        self.check_round_trip("features")
+
+    def test_matern_spec_and_numpy_scalars_round_trip(self):
+        spec = KernelSpec(family="matern", dim=np.int64(2), lengthscales=(0.3, 0.5),
+                          nu=np.float64(1.5))
+        Z = np.random.default_rng(24).uniform(0, 1, size=(4, 2))
+        model = SvgpModel(spec=spec, tau=np.float32(0.1), Z=Z)
         back = load_snapshot(write_snapshot(model))
-        Xq = rng.uniform(0, 1, size=(6, 1))
-        assert np.allclose(back.predict(Xq)[0], model.predict(Xq)[0], atol=1e-12)
-        assert np.allclose(back.predict(Xq)[1], model.predict(Xq)[1], atol=1e-12)
-        assert np.abs(model.cov(Xq) - back.cov(Xq)).max() < 1e-12
-        assert abs(elbo(data, model) - elbo(data, back)) < 1e-12
+        assert back.spec == spec and back.tau == model.tau
+        assert type(back.spec.dim) is int
+
+    def test_map_not_built_by_mercer_truncate_is_refused(self):
+        model = snapshot_models()[1]["features"]
+        hand_built = dataclasses.replace(model.feature_map, origin=())
+        with pytest.raises(UnsupportedDecompositionError):
+            write_snapshot(dataclasses.replace(model, feature_map=hand_built))
+
+    @staticmethod
+    def edited(variant, edit):
+        doc = json.loads(write_snapshot(snapshot_models()[1][variant]))
+        edit(doc)
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("variant", ["points", "features"])
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["m_vec"].__setitem__(0, "abc"),             # non-numeric entry
+        lambda d: d["S_mat"][1].__setitem__(1, None),           # null entry
+        lambda d: d["S_mat"][0].__setitem__(0, True),           # boolean entry
+        lambda d: d["S_mat"][2].pop(),                          # ragged S_mat
+        lambda d: d.__setitem__("S_mat", sum(d["S_mat"], [])),  # flattened S_mat
+        lambda d: d["m_vec"].pop(),                             # m_vec of the wrong length
+        lambda d: d["kernel"].__setitem__("lengthscale", 0.3),  # unknown kernel key
+        lambda d: d["kernel"].__setitem__("dim", "one"),        # kernel field of the wrong type
+        lambda d: d.__setitem__("tau", "0.2"),                  # number as a string
+        lambda d: d.__setitem__("tau", 10**400),                # integer past the float range
+    ], ids=["non-numeric", "null", "boolean", "ragged", "flattened", "short-m",
+            "unknown-kernel-key", "kernel-type", "string-tau", "huge-tau"])
+    def test_malformed_document_rejected(self, variant, edit):
+        with pytest.raises(InvalidInputError):
+            load_snapshot(self.edited(variant, edit))
 
     def test_missing_field_rejected(self):
+        for variant, last in (("points", "Z"), ("features", "features")):
+            for key in ("tau", "kernel", "m_vec", "S_mat", last):
+                with pytest.raises(InvalidInputError):
+                    load_snapshot(self.edited(variant, lambda d: d.pop(key)))
+
+    def test_features_fields_checked(self):
+        for edit in (lambda d: d["features"].__setitem__("m", 2.5),
+                     lambda d: d["features"].__setitem__("count", 0),
+                     lambda d: d["features"].pop("lower"),
+                     lambda d: d["features"].__setitem__("upper", ["x"])):
+            with pytest.raises(InvalidInputError):
+                load_snapshot(self.edited("features", edit))
+
+    @pytest.mark.parametrize("text", [
+        # the earlier key=value / [block] text format
+        "variant=points\ntau=0.2\nkernel.family=se\nkernel.dim=1\n"
+        "kernel.lengthscales=0.3\nkernel.variance=1.0\nm_count=1\n"
+        "[Z]\n0.5\n[m_vec]\n0.0\n[S_mat]\n1.0\n",
+        "variant=points\ntau=0.1\n",
+        "",
+        "[1, 2]",
+        '"snapshot"',
+    ])
+    def test_non_snapshot_text_rejected(self, text):
         with pytest.raises(InvalidInputError):
-            load_snapshot("variant=points\ntau=0.1\n")
+            load_snapshot(text)
