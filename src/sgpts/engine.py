@@ -401,12 +401,17 @@ def _ceil_guard(x: float) -> int:
     return max(1, math.ceil(x - 1e-9))
 
 
-def believed_best(model: SvgpModel, candidates: np.ndarray) -> tuple[np.ndarray, int]:
-    """Candidate with the highest posterior mean; ties go to the lowest index."""
+def believed_best(model: SvgpModel, candidates: np.ndarray, *,
+                  F: Optional[np.ndarray] = None) -> tuple[np.ndarray, int]:
+    """Candidate with the highest posterior mean; ties go to the lowest index.
+
+    F, when given, is the model's feature_map.features(candidates); only a
+    features-variant model reads it.
+    """
     candidates = _as_points(model.spec.dim, candidates)
     if candidates.shape[0] == 0:
         raise InvalidInputError("no candidates to recommend from")
-    mean, _ = model.predict(candidates)
+    mean, _ = model.predict(candidates, F=F)
     idx = int(np.argmax(mean))
     return candidates[idx], idx
 
@@ -423,21 +428,29 @@ def _schedule_m(cfg: RunConfig, dim: int, t: int) -> int:
 
 
 def _fit_step_model(data: Dataset, spec: KernelSpec, cfg: RunConfig, bench: Benchmark,
-                    fm: FeatureMap, m_t: int, seed: int, t: int) -> SvgpModel:
-    """Surrogate for step t, refit from scratch on everything observed so far."""
+                    fm: FeatureMap, m_t: int, seed: int, t: int,
+                    F_obs: Optional[np.ndarray] = None) -> tuple[SvgpModel, Optional[np.ndarray]]:
+    """Surrogate for step t, refit from scratch on everything observed so far.
+
+    F_obs, when given, is fm.features(data.X).  Returns the model and, when
+    its inducing points are rows of data.X, their features Phi(Z) from F_obs.
+    """
     if cfg.variant == "features":
         m_eff = min(m_t, fm.count)
-        return fit_svgp_closed_form(data, spec, cfg.tau, feature_map=fm, m=m_eff)
+        return fit_svgp_closed_form(data, spec, cfg.tau, feature_map=fm, m=m_eff, F=F_obs), None
+    Phi = None
     if data.n == 0:
         lo, hi = as_box(bench.lo, bench.hi)
         Z = lo + _unit_halton(bench.dim, m_t) * (hi - lo)
     elif cfg.inducing == "greedy":
-        Z = select_inducing_greedy(data, spec, min(m_t, data.n), stop_early=True)
+        picks = select_inducing_greedy(data, spec, min(m_t, data.n), stop_early=True)
+        Z = data.X[picks]
+        Phi = None if F_obs is None else F_obs[picks]
     else:
         n_distinct = np.unique(data.X, axis=0).shape[0]
         Z = select_inducing_kmeans(data, min(m_t, n_distinct),
                                    derive_seed(seed, t, _KMEANS_TAG))
-    return fit_svgp_closed_form(data, spec, cfg.tau, Z=Z)
+    return fit_svgp_closed_form(data, spec, cfg.tau, Z=Z), Phi
 
 
 def run_sgp_ts(cfg: RunConfig, bench: Benchmark, seed: int) -> RunLog:
@@ -460,11 +473,16 @@ def run_sgp_ts(cfg: RunConfig, bench: Benchmark, seed: int) -> RunLog:
     noise = NoiseModel(cfg.noise_var)
     log = RunLog(run_seed=seed, dim=bench.dim)
     data = Dataset.empty(bench.dim, cfg.B)
-    model = _fit_step_model(data, spec, cfg, bench, fm, _schedule_m(cfg, bench.dim, 1),
-                            seed, 0)
+    model, Phi_Z = _fit_step_model(data, spec, cfg, bench, fm, _schedule_m(cfg, bench.dim, 1),
+                                   seed, 0)
     c1_run = 1.0
     cum = 0.0
     grid_pts = grid_F = None    # the last grid and its prior features, reused while it repeats
+    # one feature row per observation, copied from grid_F: every queried point
+    # is a grid row, and a Mercer feature is elementwise in x, so grid_F[idx]
+    # equals fm.features(grid.points[idx]) bit for bit.  RFF features come
+    # from the GEMM X @ freqs^T, which need not round a row the same alone.
+    F_data = np.empty((cfg.T * cfg.B, fm.count)) if fm.kind == "mercer" else None
     for t in range(1, cfg.T + 1):
         grid = build_grid(bench.lo, bench.hi, t, cfg.lipschitz, cfg.grid_cap)
         if cfg.gamma_mode == "realized":
@@ -492,14 +510,19 @@ def run_sgp_ts(cfg: RunConfig, bench: Benchmark, seed: int) -> RunLog:
         step_seed = derive_seed(seed, t)
         if not np.array_equal(grid.points, grid_pts):
             grid_pts, grid_F = grid.points, fm.features(grid.points)
-        X_batch, _ = select_batch(model, fm, grid, cfg.B, alpha_t, step_seed, F=grid_F)
+        X_batch, idx = select_batch(model, fm, grid, cfg.B, alpha_t, step_seed,
+                                    F=grid_F, Phi=Phi_Z)
         f_true = bench.evaluate(X_batch)
         y = f_true + noise.draw(rng_from_path(seed, t, _NOISE_TAG), cfg.B)
+        if F_data is not None:
+            F_data[data.n:data.n + cfg.B] = grid_F[idx]
         data = data.append_batch(X_batch, y)
+        F_obs = None if F_data is None else F_data[:data.n]
         m_logged = model.m_count
-        model = _fit_step_model(data, spec, cfg, bench, fm,
-                                _schedule_m(cfg, bench.dim, min(t + 1, cfg.T)), seed, t)
-        bb_x, _ = believed_best(model, data.X)
+        model, Phi_Z = _fit_step_model(data, spec, cfg, bench, fm,
+                                       _schedule_m(cfg, bench.dim, min(t + 1, cfg.T)),
+                                       seed, t, F_obs)
+        bb_x, _ = believed_best(model, data.X, F=F_obs)
         simple = bench.f_star - float(bench.evaluate(bb_x.reshape(1, -1))[0])
         for b in range(cfg.B):
             cum += bench.f_star - float(f_true[b])

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -66,6 +67,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in ("se", "matern"):
             raise InvalidInputError(f"unknown kernel family {self.family!r}")
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral):
+            raise InvalidInputError(f"dim must be an integer, got {self.dim!r}")
         if self.dim < 1:
             raise InvalidInputError("dim must be >= 1")
         ls = tuple(float(l) for l in np.atleast_1d(np.asarray(self.lengthscales, dtype=float)))
@@ -256,6 +259,17 @@ class FeatureMap:
         F = self.features(X)
         G = F if X2 is None else self.features(X2)
         return (F * self.lambdas) @ G.T
+
+
+def _features_at(fm: FeatureMap, X: np.ndarray, F: Optional[np.ndarray] = None) -> np.ndarray:
+    """fm.features(X), or F when the caller already holds it, checked by shape."""
+    if F is None:
+        return fm.features(X)
+    if F.shape != (X.shape[0], fm.count):
+        raise InvalidInputError(
+            f"features have shape {F.shape}, expected {(X.shape[0], fm.count)}"
+        )
+    return F
 
 
 def mercer_truncate(spec: KernelSpec, M: int, lower, upper) -> FeatureMap:

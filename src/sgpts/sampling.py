@@ -27,8 +27,13 @@ alpha F W + U V, one product per chunk, with W capped at _CHUNK_CELLS cells
 (up to 8192 draws on an M <= 512 map is one product).
 
 In a run, F on the candidate grid is computed once per distinct grid (the
-grid stops changing once it is capped) and passed to select_batch; U, Phi(Z)
-and the root of S are rebuilt every step, since Z and S move with the data.
+grid stops changing once it is capped) and passed to select_batch.  With a
+Mercer map, inducing points picked from the observations come with Phi(Z)
+gathered from the grid features of the steps that queried them, and
+select_batch passes it on.  Phi(Z) is computed only for other inducing
+points: the step-1 Halton set, k-means centers, and every Z under RFF, whose
+X @ freqs^T is a GEMM that need not round a row as it does inside a larger X.
+U and the root of S are rebuilt every step, since Z and S move with the data.
 
 Seed scheme: step seed = hash(run_seed, t), draw seed = hash(step_seed, b),
 with hash = the first output word of numpy's SeedSequence over the integer
@@ -46,7 +51,7 @@ from scipy.linalg import cho_solve
 from scipy.stats import qmc
 
 from .errors import InvalidInputError
-from .kernels import FeatureMap, _as_points, kernel_matrix
+from .kernels import FeatureMap, _as_points, _features_at, kernel_matrix
 from .svgp import SvgpModel
 from .util import as_box
 
@@ -66,10 +71,13 @@ class DrawSetup:
     """Seed-independent part of every draw from one (model, feature map, alpha).
 
     Build it once and call draw(rng) for each draw: a draw then costs w, u and
-    one m x m solve, independent of the set-up's feature evaluations.
+    one m x m solve, independent of the set-up's feature evaluations.  Phi,
+    when given, must be fm.features(model.Z) of a points model, shape (m, M);
+    a caller that holds it skips the evaluation.
     """
 
-    def __init__(self, model: SvgpModel, fm: FeatureMap, alpha: float):
+    def __init__(self, model: SvgpModel, fm: FeatureMap, alpha: float, *,
+                 Phi: np.ndarray | None = None):
         if alpha < 1.0:
             raise InvalidInputError("alpha must be >= 1")
         if fm.dim != model.spec.dim:
@@ -85,7 +93,7 @@ class DrawSetup:
         vals, vecs = np.linalg.eigh(model.S_mat)
         self.root = vecs * np.sqrt(np.maximum(vals, 0.0))    # S = root root^T
         self.rootlam = np.sqrt(fm.lambdas)
-        self.Phi = fm.features(model.Z) if model.variant == "points" else None   # (m, M)
+        self.Phi = _features_at(fm, model.Z, Phi) if model.variant == "points" else None
 
     def draw(self, rng: np.random.Generator) -> SampleFunction:
         """One draw; rng consumed in the order w then u."""
@@ -109,10 +117,6 @@ class DrawSetup:
         summation order of the products.
         """
         X = _as_points(self.fm.dim, X)
-        if F is not None and F.shape != (X.shape[0], self.fm.count):
-            raise InvalidInputError(
-                f"features have shape {F.shape}, expected {(X.shape[0], self.fm.count)}"
-            )
         F, U = _basis(self.model, self.fm, X, F)
         chunk = max(1, _CHUNK_CELLS // self.fm.count)
         out = np.empty((X.shape[0], len(seeds)))
@@ -133,8 +137,7 @@ class DrawSetup:
 def _basis(model: SvgpModel, fm: FeatureMap, X: np.ndarray,
            F: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(F, U) at X: the prior features (computed unless given) and the update basis."""
-    if F is None:
-        F = fm.features(X)
+    F = _features_at(fm, X, F)
     if model.variant == "points":
         return F, kernel_matrix(model.spec, X, model.Z)
     return F, F[:, : model.m_count]
@@ -275,18 +278,21 @@ def select_batch(
     step_seed: int,
     *,
     F: np.ndarray | None = None,
+    Phi: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """B independent draws, each maximized over the grid.
 
     Returns (points, indices).  Draw b uses seed hash(step_seed, b); ties in
     the argmax resolve to the lowest grid index.  F, when given, must be
     fm.features(grid.points), shape (n_points, M); a caller whose grid
-    repeats across steps passes it to skip the re-evaluation.  The B draws are
+    repeats across steps passes it to skip the re-evaluation.  Phi goes to
+    DrawSetup, which documents it.  The B draws are
     scored by DrawSetup.values into a B x n_points values matrix, with one
     product: its chunk cap holds far more than B draws of any map used here.
     """
     if B < 1:
         raise InvalidInputError("B must be >= 1")
     seeds = [derive_seed(step_seed, b) for b in range(B)]
-    idx = np.argmax(DrawSetup(model, fm, alpha).values(grid.points, seeds, F=F), axis=1)
+    setup = DrawSetup(model, fm, alpha, Phi=Phi)
+    idx = np.argmax(setup.values(grid.points, seeds, F=F), axis=1)
     return grid.points[idx], idx

@@ -51,7 +51,14 @@ from .errors import (
     UnsupportedDecompositionError,
 )
 from .exact_gp import Dataset, fit_exact
-from .kernels import FeatureMap, KernelSpec, _as_points, kernel_matrix, mercer_truncate
+from .kernels import (
+    FeatureMap,
+    KernelSpec,
+    _as_points,
+    _features_at,
+    kernel_matrix,
+    mercer_truncate,
+)
 from .util import chol_psd, clamp_variance, rng_from_path
 
 
@@ -133,12 +140,15 @@ class SvgpModel:
             return kernel_matrix(self.spec, self.Z)
         return np.diag(self.feature_map.lambdas[: self.m_count])
 
-    def _cross(self, X) -> np.ndarray:
-        """c(x) = cov(u, f(x)) per column: k(Z, x), or lambda_j phi_j(x) for features."""
+    def _cross(self, X, F: Optional[np.ndarray] = None) -> np.ndarray:
+        """c(x) = cov(u, f(x)) per column: k(Z, x), or lambda_j phi_j(x) for features.
+
+        F, when given, is feature_map.features(X); only the features variant reads it.
+        """
         if self.variant == "points":
             return kernel_matrix(self.spec, self.Z, X)
         lam = self.feature_map.lambdas[: self.m_count]
-        return lam[:, None] * self.feature_map.features(X)[:, : self.m_count].T
+        return lam[:, None] * _features_at(self.feature_map, X, F)[:, : self.m_count].T
 
     def _whiten(self, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (solve_triangular(self._chol_P, C, lower=True),
@@ -149,10 +159,13 @@ class SvgpModel:
         V = solve_triangular(self._chol_P, self._cross(X), lower=True)
         return self.spec.variance - np.sum(V * V, axis=0)
 
-    def predict(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and variance at each row of X."""
+    def predict(self, X, *, F: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and variance at each row of X.
+
+        F, when given, is feature_map.features(X); only the features variant reads it.
+        """
         X = _as_points(self.spec.dim, X)
-        C = self._cross(X)
+        C = self._cross(X, F)
         V, W = self._whiten(C)
         var = self.spec.variance - np.sum(V * V, axis=0) + np.sum(W * W, axis=0)
         return C.T @ self._a, clamp_variance(var)
@@ -172,13 +185,19 @@ def fit_svgp_closed_form(
     Z=None,
     feature_map: Optional[FeatureMap] = None,
     m: Optional[int] = None,
+    *,
+    F: Optional[np.ndarray] = None,
 ) -> SvgpModel:
-    """Optimal q(u) for the conjugate likelihood; prior moments when data is empty."""
+    """Optimal q(u) for the conjugate likelihood; prior moments when data is empty.
+
+    F, when given, must be feature_map.features(data.X), shape (n, count): a
+    caller that holds it skips the evaluation.  The points variant ignores it.
+    """
     prior = SvgpModel(spec=spec, tau=tau, Z=Z, feature_map=feature_map, m_count=m or 0)
     if data.n == 0:
         return prior
     P = prior.S_mat
-    C = prior._cross(data.X)
+    C = prior._cross(data.X, F)
     cSigma = chol_psd(P + (C @ C.T) / tau)
     sol_y = cho_solve((cSigma, True), C @ data.y)
     S_mat = P @ cho_solve((cSigma, True), np.eye(prior.m_count)) @ P
@@ -254,7 +273,8 @@ def kl_to_exact(data: Dataset, model: SvgpModel, grid=None) -> float:
 
 def select_inducing_greedy(data: Dataset, spec: KernelSpec, m: int,
                            stop_early: bool = False) -> np.ndarray:
-    """Greedy maximum-residual-variance inducing points (pivoted-Cholesky order).
+    """Row indices of the greedy maximum-residual-variance inducing points,
+    in pivoted-Cholesky order; the points are data.X[picks].
 
     Ties resolve to the lowest index, so for stationary kernels the first
     pick is always row 0.  When the residual variance collapses before m
@@ -279,7 +299,7 @@ def select_inducing_greedy(data: Dataset, spec: KernelSpec, m: int,
         L[:, j] = col / math.sqrt(d[p])
         d = np.maximum(d - L[:, j] ** 2, 0.0)
         picks.append(p)
-    return data.X[picks]
+    return np.array(picks)
 
 
 def select_inducing_kmeans(data: Dataset, m: int, seed: int) -> np.ndarray:
@@ -323,8 +343,11 @@ def select_inducing_kmeans(data: Dataset, m: int, seed: int) -> np.ndarray:
         # stable sort: each cluster's rows stay in index order, as under a mask
         Xs = X[np.argsort(assign, kind="stable")]
         ends = np.cumsum(counts)
+        # the arithmetic of ndarray.mean: each cluster's add.reduce, then one
+        # true divide by its count (np.add.reduceat sums in another order)
         for c in range(m):
-            centers[c] = Xs[ends[c] - counts[c]:ends[c]].mean(axis=0)
+            centers[c] = np.add.reduce(Xs[ends[c] - counts[c]:ends[c]], axis=0)
+        centers /= counts[:, None]
     return centers
 
 

@@ -31,9 +31,10 @@ from sgpts.engine import (
 )
 from sgpts.errors import ConfigError, InvalidInputError, ScheduleUndefinedError
 from sgpts.exact_gp import Dataset, batch_sigma_bound, gamma_bound
-from sgpts.kernels import FeatureMap, KernelSpec
-from sgpts.svgp import fit_svgp_closed_form
-from sgpts.util import rng_from_path
+from sgpts.kernels import FeatureMap, KernelSpec, mercer_truncate
+from sgpts.sampling import DrawSetup, _unit_halton, build_grid, select_batch
+from sgpts.svgp import fit_svgp_closed_form, select_inducing_greedy
+from sgpts.util import as_box, rng_from_path
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -409,6 +410,84 @@ class TestBelievedBest:
                                      Z=np.array([[0.5]]))
         with pytest.raises(InvalidInputError):
             believed_best(model, np.zeros((0, 1)))
+
+
+class TestObservedFeatures:
+    """A Mercer run reads its observed points' features from its grids' rows."""
+
+    def observed(self):
+        # data as a run holds it: B = 4 queried grid rows a step, repeats included
+        spec = KernelSpec(family="se", dim=1, lengthscales=(0.1,))
+        fm = mercer_truncate(spec, 96, [0.0], [1.0])
+        grid = build_grid([0.0], [1.0], t=4, lipschitz=3.0, cap=2000)
+        grid_F = fm.features(grid.points)
+        rng = np.random.default_rng(51)
+        idx = rng.integers(0, grid.n_points, size=24)
+        idx[5] = idx[2]
+        data = Dataset(grid.points[idx], rng.normal(size=24), 4, 6)
+        return spec, fm, grid, grid_F, data, grid_F[idx]
+
+    def test_points_keywords_match_the_default_path(self):
+        spec, fm, grid, grid_F, data, F_obs = self.observed()
+        picks = select_inducing_greedy(data, spec, 12, stop_early=True)
+        model = fit_svgp_closed_form(data, spec, 0.05, Z=data.X[picks])
+        Phi = F_obs[picks]
+        assert np.array_equal(DrawSetup(model, fm, 1.5, Phi=Phi).Phi,
+                              DrawSetup(model, fm, 1.5).Phi)
+        for a, b in zip(select_batch(model, fm, grid, 6, 1.5, 99, F=grid_F, Phi=Phi),
+                        select_batch(model, fm, grid, 6, 1.5, 99)):
+            assert np.array_equal(a, b)
+        x, i = believed_best(model, data.X, F=F_obs)
+        assert i == believed_best(model, data.X)[1] and np.array_equal(x, data.X[i])
+
+    def test_features_keywords_match_the_default_path(self):
+        spec, fm, grid, grid_F, data, F_obs = self.observed()
+        want = fit_svgp_closed_form(data, spec, 0.05, feature_map=fm, m=20)
+        got = fit_svgp_closed_form(data, spec, 0.05, feature_map=fm, m=20, F=F_obs)
+        for name in ("m_vec", "S_mat", "_a", "_chol_P", "_chol_Sigma"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for a, b in zip(want.predict(data.X, F=F_obs), want.predict(data.X)):
+            assert np.array_equal(a, b)
+        assert believed_best(want, data.X, F=F_obs)[1] == believed_best(want, data.X)[1]
+
+    def test_given_features_are_checked_by_shape(self):
+        spec, fm, grid, grid_F, data, F_obs = self.observed()
+        model = fit_svgp_closed_form(data, spec, 0.05, feature_map=fm, m=20)
+        points = fit_svgp_closed_form(data, spec, 0.05, Z=data.X[:3])
+        for wrong in (F_obs[1:], F_obs[:, 1:]):
+            with pytest.raises(InvalidInputError, match="features have shape"):
+                fit_svgp_closed_form(data, spec, 0.05, feature_map=fm, m=20, F=wrong)
+            with pytest.raises(InvalidInputError, match="features have shape"):
+                believed_best(model, data.X, F=wrong)
+        for wrong in (F_obs[:2], F_obs[:3, 1:]):
+            with pytest.raises(InvalidInputError, match="features have shape"):
+                DrawSetup(points, fm, 1.0, Phi=wrong)
+
+    @pytest.mark.parametrize("config, most", [("multimodal1d", 13), ("theoretical", 8)])
+    def test_run_evaluates_features_on_grids_and_step_one_inducing_set_only(
+            self, config, most, monkeypatch):
+        cfg = parse_config((REPO / "configs" / f"{config}.cfg").read_text())
+        bench = get_benchmark(cfg.objective)
+        full = resolve_config(cfg, bench)
+        grids = [build_grid(bench.lo, bench.hi, t, full.lipschitz, cfg.grid_cap).points
+                 for t in range(1, cfg.T + 1)]
+        expected = [g for k, g in enumerate(grids)
+                    if k == 0 or not np.array_equal(g, grids[k - 1])]
+        if cfg.variant == "points":     # the step-1 Halton Z, after the first grid
+            lo, hi = as_box(bench.lo, bench.hi)
+            expected.insert(1, lo + _unit_halton(bench.dim, cfg.m) * (hi - lo))
+        calls = []
+        features = FeatureMap.features
+
+        def recorded(fm, X):
+            calls.append(np.array(X, dtype=float))
+            return features(fm, X)
+
+        monkeypatch.setattr(FeatureMap, "features", recorded)
+        log = run_sgp_ts(cfg, bench, seed=0)
+        assert not log.aborted and len(log.rows) == cfg.T * cfg.B
+        assert len(calls) == len(expected) <= most
+        assert all(np.array_equal(X, want) for X, want in zip(calls, expected))
 
 
 class TestStrictRegret:

@@ -66,6 +66,11 @@ class TestSpecValidation:
         with pytest.raises(InvalidInputError):
             KernelSpec(family="rq", dim=1, lengthscales=(0.5,))
 
+    @pytest.mark.parametrize("dim", [2.0, 1.5, True], ids=["float", "fraction", "bool"])
+    def test_dim_must_be_an_integer(self, dim):
+        with pytest.raises(InvalidInputError, match="dim must be an integer"):
+            KernelSpec(family="se", dim=dim, lengthscales=(0.3,))
+
 
 def test_gram_psd_random_sets():
     # min eigenvalue >= -1e-10 across families and dimensions
@@ -308,6 +313,22 @@ class TestFeatureLayerBits:
         assert np.array_equal(fm.lambdas, lambdas)
         assert np.array_equal(fm.sup_bounds, sup)
         assert np.array_equal(fm.features(X), feats)
+
+    @pytest.mark.parametrize("spec, M, lo, hi", [
+        (se(ls=0.05), 256, [0.0], [1.0]),
+        (KernelSpec(family="se", dim=3, lengthscales=(0.3, 0.7, 1.5)), 200,
+         [0.0, -1.0, 2.0], [1.0, 1.0, 5.0]),
+    ], ids=["1d-M256", "3d-anisotropic"])
+    def test_mercer_rows_are_row_stable(self, spec, M, lo, hi):
+        # a run copies the features of its queried points from the rows of
+        # its grid's features; that needs every row to round as when alone
+        fm = mercer_truncate(spec, M, lo, hi)
+        P = np.random.default_rng(41).uniform(lo, hi, size=(1999, spec.dim))
+        F = fm.features(P)
+        picks = np.random.default_rng(42).integers(0, 1999, size=257)
+        for idx in ([0], [1], [2], [3], [1001], [1998], [7, 7, 7],
+                    [1998, 3, 1998, 0, 3], picks):
+            assert np.array_equal(F[idx], fm.features(P[idx]))
 
     def test_phis_are_an_n_by_orders_view(self):
         ax = mercer_truncate(se(ls=0.2), 5, [0.0], [1.0])._axes[0]
