@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InvalidInputError
 from .util import rng_from_path
@@ -226,6 +225,8 @@ def certify(bench: Benchmark, n_probes: int = 100_000, n_restarts: int = 1000,
     Returns a report dict; report["ok"] is False if any probe or refined
     point exceeds f_star by more than tol.
     """
+    from scipy.optimize import minimize     # here, so that importing sgpts leaves it out
+
     rng = rng_from_path(seed, 101)
     lo = np.asarray(bench.lo)
     hi = np.asarray(bench.hi)

@@ -35,6 +35,7 @@ surrogate:
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import numbers
@@ -47,6 +48,7 @@ from .errors import InvalidInputError, UnsupportedDecompositionError
 from .util import as_box, rng_from_path
 
 _MATERN_NUS = (1.5, 2.5)
+_MEMO_SLOTS = 2     # inputs whose feature matrices a FeatureMap remembers
 
 
 @dataclass(frozen=True)
@@ -218,6 +220,14 @@ class FeatureMap:
     kind "rff": k(x,x') ~= features(x) @ features(x'), weights absorbed into
     the features; lambdas are all ones so downstream code can treat both kinds
     through the same lambda-weighted interface.
+
+    features() returns read-only matrices and remembers its last _MEMO_SLOTS
+    inputs, keyed by their bytes: the first request of an input records only
+    the key, and the second stores the matrix, which later requests of the
+    same bytes get back instead of an evaluation.  A grid evaluated once is
+    never stored, while the Phi(Z) and probe features that every draw from
+    one model asks for are.  The memo lives as long as the map; a copy made
+    by dataclasses.replace starts with an empty one.
     """
 
     kind: str
@@ -231,10 +241,28 @@ class FeatureMap:
     _freqs: Optional[np.ndarray] = field(default=None, repr=False)
     _phase: Optional[float] = field(default=None, repr=False)
     _amp: float = field(default=0.0, repr=False)
+    # [key, matrix or None] per remembered input, most recent first
+    _memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def features(self, X) -> np.ndarray:
-        """Feature matrix of shape (n_points, count)."""
+        """Feature matrix of shape (n_points, count), read-only."""
         X = _as_points(self.dim, X)
+        # bytes, not values: -0.0 == 0.0, but sin(-0.0) is -0.0
+        key = (X.shape, X.tobytes())
+        memo = self._memo
+        slot = next((s for s in memo if s[0] == key), None)
+        if slot is None:
+            slot, F = [key, None], self._evaluate(X)    # first request: the key only
+        elif slot[1] is None:
+            F = slot[1] = self._evaluate(X)
+        else:
+            F = slot[1]
+        # F is always the slot's own, so a lost update under threads costs a miss only
+        memo[:] = [slot] + [s for s in memo if s is not slot][: _MEMO_SLOTS - 1]
+        return F
+
+    def _evaluate(self, X: np.ndarray) -> np.ndarray:
+        """The feature matrix at X, computed afresh and made read-only."""
         if self.kind == "mercer":
             if self._index is None:
                 raise InvalidInputError("feature map carries no evaluation rule")
@@ -243,6 +271,7 @@ class FeatureMap:
                 orders = int(self._index[:, axis].max()) + 1
                 phis = self._axes[axis].phis(X[:, axis], orders)
                 out *= np.take(phis, self._index[:, axis], axis=1)
+            out.flags.writeable = False
             return out
         z = X @ self._freqs.T
         n_pair = self._freqs.shape[0] if self.count % 2 == 0 else self._freqs.shape[0] - 1
@@ -252,6 +281,7 @@ class FeatureMap:
         if self.count % 2 == 1:
             np.cos(z[:, -1] + self._phase, out=cols[:, -1])
         cols *= self._amp
+        cols.flags.writeable = False
         return cols
 
     def reconstruct(self, X, X2=None) -> np.ndarray:
@@ -270,6 +300,18 @@ def _features_at(fm: FeatureMap, X: np.ndarray, F: Optional[np.ndarray] = None) 
             f"features have shape {F.shape}, expected {(X.shape[0], fm.count)}"
         )
     return F
+
+
+@functools.lru_cache(maxsize=32)
+def _axis_sup(lengthscale: float, lo: float, hi: float, orders: int) -> np.ndarray:
+    """sup of |phi_j| over [lo, hi] for j < orders by dense grid search on 1e4 points.
+
+    Read-only; a run asks for the same kernel and box every time.
+    """
+    p = _mercer_axis(lengthscale, lo, hi).phis(np.linspace(lo, hi, 10_000), orders)
+    sup = np.abs(p, out=p).max(axis=0)
+    sup.flags.writeable = False
+    return sup
 
 
 def mercer_truncate(spec: KernelSpec, M: int, lower, upper) -> FeatureMap:
@@ -314,16 +356,11 @@ def mercer_truncate(spec: KernelSpec, M: int, lower, upper) -> FeatureMap:
     index = np.asarray(index_rows, dtype=int)
     lambdas = spec.variance * np.asarray(lams)
 
-    # per-axis sup of |phi_j| over the box by dense grid search, 1e4 points
-    sup_per_axis = []
-    for axis in range(spec.dim):
-        orders = int(index[:, axis].max()) + 1
-        grid = np.linspace(lo[axis], hi[axis], 10_000)
-        p = axes[axis].phis(grid, orders)
-        sup_per_axis.append(np.abs(p, out=p).max(axis=0))
     sup = np.ones(len(index_rows))
     for axis in range(spec.dim):
-        sup *= sup_per_axis[axis][index[:, axis]]
+        orders = int(index[:, axis].max()) + 1
+        sup *= _axis_sup(spec.lengthscales[axis], float(lo[axis]), float(hi[axis]),
+                         orders)[index[:, axis]]
 
     return FeatureMap(
         kind="mercer",

@@ -35,6 +35,13 @@ points: the step-1 Halton set, k-means centers, and every Z under RFF, whose
 X @ freqs^T is a GEMM that need not round a row as it does inside a larger X.
 U and the root of S are rebuilt every step, since Z and S move with the data.
 
+Outside a run, draw_sample(...).eval_many(X) builds a fresh DrawSetup and
+basis per call, but the feature evaluations repeat: FeatureMap.features
+remembers an input from its second request on, so the draws of one model
+share Phi(Z) and the features at a repeated X.  What a repeated draw_sample
+recomputes is eigh(S), sqrt(lambda) and the RNG draws, then the solve for v
+and, at X, k(X, Z) and the two products.
+
 Seed scheme: step seed = hash(run_seed, t), draw seed = hash(step_seed, b),
 with hash = the first output word of numpy's SeedSequence over the integer
 pair.  Identical paths give identical draws on every platform.
@@ -48,7 +55,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.stats import qmc
 
 from .errors import InvalidInputError
 from .kernels import FeatureMap, _as_points, _features_at, kernel_matrix
@@ -170,7 +176,8 @@ class SampleFunction:
 
     def eval_many(self, X) -> np.ndarray:
         X = _as_points(self.fm.dim, X)
-        return self._on_basis(*_basis(self.model, self.fm, X), self.alpha, *self._coeffs())[:, 0]
+        values = self._on_basis(*_basis(self.model, self.fm, X), self.alpha, *self._coeffs())
+        return values[:, 0].copy()      # owns its data: a view would keep the (n, 1) base
 
     def __call__(self, x) -> float:
         return float(self.eval_many(x)[0])
@@ -179,8 +186,10 @@ class SampleFunction:
 def draw_sample(model: SvgpModel, fm: FeatureMap, alpha: float, seed: int) -> SampleFunction:
     """One decoupled draw; fresh u and w every call, keyed by the seed.
 
-    Pays the whole set-up per call; to draw many times from one model, build a
-    DrawSetup once and call its draw, which gives the same draw for the same seed.
+    Builds a DrawSetup per call: eigh(S) and the RNG draws are redone, while
+    Phi(Z) comes from the feature map's memo after the first two calls.  To
+    draw many times from one model, build a DrawSetup once and call its draw,
+    which gives the same draw for the same seed.
     """
     return DrawSetup(model, fm, alpha).draw(np.random.default_rng(seed))
 
@@ -235,6 +244,8 @@ class Discretization:
 @functools.lru_cache(maxsize=8)
 def _unit_halton(d: int, n: int) -> np.ndarray:
     """The first n points of the unscrambled d-dim Halton sequence, read-only."""
+    from scipy.stats import qmc     # here, so that importing sgpts leaves scipy.stats out
+
     unit = qmc.Halton(d=d, scramble=False).random(n)
     unit.flags.writeable = False
     return unit

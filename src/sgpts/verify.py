@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import norm
 
 from .benchmarks import get_benchmark
 from .engine import RunConfig, growth_exponents, growth_schedule, run_sgp_ts
@@ -194,16 +193,6 @@ def check_batch_sigma(runs: int = 3) -> tuple[bool, str]:
     return worst <= 1e-9, f"worst lhs minus rhs: {worst:.3e}"
 
 
-def check_anti_concentration() -> tuple[bool, str]:
-    """Gaussian tail sandwich used by the exploration argument."""
-    cs = np.linspace(0.5, 5.0, 100)
-    tail = 1.0 - norm.cdf(cs)
-    lower = np.exp(-(cs**2)) / (4.0 * cs * np.sqrt(np.pi))
-    upper = 0.5 * np.exp(-(cs**2) / 2.0)
-    ok = bool(np.all(tail >= lower) and np.all(tail <= upper))
-    return ok, "1 - Phi(c) bracketed on [0.5, 5]"
-
-
 def check_growth_exponents() -> tuple[bool, str]:
     """Exact exponent fractions and log-power schedule sizes (criterion 09)."""
     ok = (
@@ -250,7 +239,6 @@ def run_checks(level: str = "quick") -> list[CheckResult]:
         ("KL certificate", lambda: check_kl_certificate(10 if big else 3)),
         ("closed-form bound optimality", lambda: check_elbo(10 if big else 3)),
         ("batch deviation lemma", lambda: check_batch_sigma(10 if big else 3)),
-        ("gaussian tail sandwich", check_anti_concentration),
         ("schedule arithmetic", check_growth_exponents),
         ("run determinism", check_run_determinism),
     ]

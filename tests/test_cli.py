@@ -1,5 +1,10 @@
 """End-to-end tests of the command-line interface (in-process, via main)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -153,10 +158,22 @@ def test_verify_quick(capsys):
 
 
 def test_verify_failing_check_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(verify, "check_anti_concentration", lambda: (False, "forced"))
+    monkeypatch.setattr(verify, "check_growth_exponents", lambda: (False, "forced"))
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out and "8/9 checks passed" in out
+    assert "FAIL" in out and "7/8 checks passed" in out
+
+
+def test_import_leaves_scipy_stats_and_optimize_unloaded():
+    # together they took an import of sgpts from 58 to 100 MB resident
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import sys, sgpts\n"
+              "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verify_unknown_level_raises():

@@ -656,6 +656,8 @@ class TestRunLoop:
 
 class TestAntiConcentration:
     def test_gaussian_tail_sandwich(self):
+        # the exploration argument's bracket on 1 - Phi(c); a property of the
+        # normal CDF, so it is checked here and not by `sgpts verify`
         cs = np.linspace(0.5, 5.0, 100)
         tail = 1.0 - norm.cdf(cs)
         lower = np.exp(-(cs**2)) / (4.0 * cs * np.sqrt(np.pi))

@@ -1,12 +1,18 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgpts.errors import InvalidInputError, UnsupportedDecompositionError
 from sgpts.kernels import (
+    _MEMO_SLOTS,
     FeatureMap,
     KernelSpec,
+    _axis_sup,
     _scaled_sqdist,
     eval_kernel,
     kernel_matrix,
@@ -330,6 +336,18 @@ class TestFeatureLayerBits:
                     [1998, 3, 1998, 0, 3], picks):
             assert np.array_equal(F[idx], fm.features(P[idx]))
 
+    def test_cached_sup_search_matches_a_fresh_one(self):
+        # the second build reads the per-axis sup vectors from the cache
+        spec = KernelSpec(family="se", dim=3, lengthscales=(0.3, 0.7, 1.5))
+        lo, hi = np.array([0.0, -1.0, 2.0]), np.array([1.0, 1.0, 5.0])
+        mercer_truncate(spec, 200, lo, hi)
+        hits = _axis_sup.cache_info().hits
+        fm = mercer_truncate(spec, 200, lo, hi)
+        assert _axis_sup.cache_info().hits == hits + 3
+        assert np.array_equal(fm.sup_bounds, reference_mercer(spec, fm, lo[None, :], lo, hi)[1])
+        sup = _axis_sup(0.3, 0.0, 1.0, 5)
+        assert not sup.flags.writeable
+
     def test_phis_are_an_n_by_orders_view(self):
         ax = mercer_truncate(se(ls=0.2), 5, [0.0], [1.0])._axes[0]
         x = np.linspace(-0.5, 1.5, 7)
@@ -402,3 +420,108 @@ class TestKernelMatrixBits:
         grid = rng.uniform(0.0, 1.0, size=(8000, 6))
         Z = rng.uniform(0.0, 1.0, size=(100, 6))
         assert np.array_equal(kernel_matrix(spec, grid, Z), reference_kernel_matrix(spec, grid, Z))
+
+
+# FeatureMap.features remembers repeated inputs.
+
+MEMO_MAPS = {
+    "mercer": lambda: mercer_truncate(se(dim=2, ls=0.3), 40, [0.0, 0.0], [1.0, 1.0]),
+    "rff": lambda: rff_sample(matern(2.5, dim=2, ls=0.4), 65, seed=7),
+}
+
+
+def memo_inputs():
+    """Four inputs: two 2-row sets, one equal to the other but for a -0.0, and a 5-row set."""
+    X = np.array([[0.0, 0.25], [0.5, 0.75]])
+    neg = X.copy()
+    neg[0, 0] = -0.0
+    other = np.random.default_rng(71).uniform(-0.5, 1.5, size=(5, 2))
+    return [X, neg, other, other[:3]]
+
+
+def stored(fm):
+    """Number of inputs whose matrices fm's memo holds."""
+    return sum(F is not None for _, F in fm._memo)
+
+
+def same_bits(F, G):
+    return F.shape == G.shape and F.tobytes() == G.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(MEMO_MAPS))
+class TestFeatureMemo:
+    def test_repeat_matches_a_fresh_map(self, kind):
+        fm = MEMO_MAPS[kind]()
+        X = memo_inputs()[2]
+        first, second, third = fm.features(X), fm.features(X), fm.features(X)
+        fresh = MEMO_MAPS[kind]().features(X)
+        assert all(same_bits(F, fresh) for F in (first, second, third))
+        # computed on the first two requests, stored on the second
+        assert second is not first and third is second
+
+    def test_results_are_read_only(self, kind):
+        fm = MEMO_MAPS[kind]()
+        X = memo_inputs()[0]
+        for F in (fm.features(X), fm.features(X), fm.features(X)):
+            assert not F.flags.writeable
+            with pytest.raises(ValueError):
+                F[0, 0] = 1.0
+
+    def test_input_mutated_in_place_is_a_miss(self, kind):
+        fm = MEMO_MAPS[kind]()
+        X = memo_inputs()[2]
+        fm.features(X)
+        old = fm.features(X)
+        X[1, 0] += 0.125
+        got = fm.features(X)
+        assert got is not old
+        assert same_bits(got, MEMO_MAPS[kind]().features(X))
+
+    def test_negative_zero_is_a_miss(self, kind):
+        fm = MEMO_MAPS[kind]()
+        X, neg = memo_inputs()[:2]
+        fm.features(X)
+        at_zero = fm.features(X)
+        got = fm.features(neg)
+        assert got is not at_zero
+        assert same_bits(got, MEMO_MAPS[kind]().features(neg))
+
+    def test_one_off_inputs_store_nothing(self, kind):
+        # a grid used once, then three others: none stays alive in the memo
+        fm = MEMO_MAPS[kind]()
+        X, _, other, part = memo_inputs()
+        fm.features(X)
+        fm.features(X)
+        assert stored(fm) == 1
+        for grid in (other, part, other + 1.0):
+            fm.features(grid)
+        assert stored(fm) == 0 and len(fm._memo) <= _MEMO_SLOTS
+
+    def test_replaced_map_starts_empty(self, kind):
+        fm = MEMO_MAPS[kind]()
+        X = memo_inputs()[0]
+        fm.features(X)
+        kept = fm.features(X)
+        copy = dataclasses.replace(fm)
+        assert copy._memo == [] and stored(fm) == 1
+        F = copy.features(X)
+        assert F is not kept and same_bits(F, kept)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(requests=st.lists(st.integers(0, 3), min_size=1, max_size=14))
+    def test_any_request_sequence_gives_fresh_bits(self, kind, requests):
+        inputs = memo_inputs()
+        want = [MEMO_MAPS[kind]().features(X) for X in inputs]
+        fm = MEMO_MAPS[kind]()
+        asked = Counter()
+        for i in requests:
+            F = fm.features(inputs[i])
+            asked[i] += 1
+            assert same_bits(F, want[i]) and not F.flags.writeable
+            assert len(fm._memo) <= _MEMO_SLOTS
+            # only an input asked for at least twice is stored
+            for key, G in fm._memo:
+                if G is not None:
+                    j = next(j for j, X in enumerate(inputs)
+                             if key == (X.shape, X.tobytes()))
+                    assert asked[j] >= 2 and same_bits(G, want[j])

@@ -283,6 +283,13 @@ class TestDrawValues:
         assert np.all(np.abs(got - want) <= bound)
 
     @pytest.mark.parametrize("case", VARIANT_CASES)
+    def test_eval_many_owns_its_values(self, case):
+        # a view would keep the (n, 1) product alive for as long as the values
+        model, fm = fitted_case(case, np.random.default_rng(17))
+        v = draw_sample(model, fm, 1.0, seed=5).eval_many([[0.1], [0.5], [0.9]])
+        assert v.shape == (3,) and v.base is None
+
+    @pytest.mark.parametrize("case", VARIANT_CASES)
     def test_select_batch_is_argmax_of_values(self, case):
         model, fm = fitted_case(case, np.random.default_rng(16))
         grid = build_grid([0.0], [1.0], t=3, lipschitz=2.0, cap=4000)
