@@ -416,11 +416,6 @@ def believed_best(model: SvgpModel, candidates: np.ndarray, *,
     return candidates[idx], idx
 
 
-def strict_regret(log: RunLog, f_star: float) -> float:
-    """Sum of f_star minus the true objective value over every selection."""
-    return float(sum(f_star - r.f_true for r in log.rows))
-
-
 def _schedule_m(cfg: RunConfig, dim: int, t: int) -> int:
     if cfg.m_mode == "fixed":
         return cfg.m

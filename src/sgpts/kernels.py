@@ -140,11 +140,6 @@ def kernel_matrix(spec: KernelSpec, A, B=None) -> np.ndarray:
     return poly
 
 
-def eval_kernel(spec: KernelSpec, x, x2) -> float:
-    """Kernel value at a single pair of points."""
-    return float(kernel_matrix(spec, x, x2)[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # feature maps
 
@@ -283,12 +278,6 @@ class FeatureMap:
         cols *= self._amp
         cols.flags.writeable = False
         return cols
-
-    def reconstruct(self, X, X2=None) -> np.ndarray:
-        """Kernel matrix implied by the truncated expansion."""
-        F = self.features(X)
-        G = F if X2 is None else self.features(X2)
-        return (F * self.lambdas) @ G.T
 
 
 def _features_at(fm: FeatureMap, X: np.ndarray, F: Optional[np.ndarray] = None) -> np.ndarray:

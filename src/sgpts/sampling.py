@@ -15,16 +15,17 @@ inducing points, and w_m the leading m prior weights.  Any alpha >= 1 scales
 the deviation around the posterior mean without moving the mean: substituting
 u = m, w = 0 gives exactly the model mean for every alpha.
 
-Work is split three ways.  Once per draw set-up, a DrawSetup for one (model,
-feature map, alpha): the checks on alpha and on the feature map, the root of
-S from its eigendecomposition, sqrt(lambda), and for points Phi = Phi(Z).
-Once per draw: w, u and the solve for v.  Once per set of evaluation points:
-the basis (F, U), with F the prior features and U = k(X, Z) for points or the
-leading m columns of F for features.  DrawSetup.values scores many seeded
-draws on one basis: a chunk of draws' weights is written into the rows of
-two buffers, copied once into C-ordered W (M x k) and V (m x k), and scored as
-alpha F W + U V, one product per chunk, with W capped at _CHUNK_CELLS cells
-(up to 8192 draws on an M <= 512 map is one product).
+Work is split by what it depends on.  Per model: the root R of S = R R^T
+from eigh(S), which the model computes on its first draw and keeps.  Per
+DrawSetup (model, feature map, alpha): the checks on alpha and on the map,
+sqrt(lambda), and for points Phi = Phi(Z).  Per draw: the RNG calls for w and
+u.  Per batch of k draws: u = m + Xi R^T and the prior part
+(sqrt(lambda) w) (alpha Phi)^T as two products, then one solve with k
+right-hand sides; one draw is the batch k = 1.  Per set of evaluation points: the basis (F, U), with F the
+prior features and U = k(X, Z) for points or F's leading m columns for
+features.  DrawSetup.values scores a chunk of draws as alpha F W + U V, with
+C-ordered W (M x k) and V (m x k) and W capped at _CHUNK_CELLS cells (up to
+8192 draws on an M <= 512 map is one product).
 
 In a run, F on the candidate grid is computed once per distinct grid (the
 grid stops changing once it is capped) and passed to select_batch.  With a
@@ -36,11 +37,9 @@ X @ freqs^T is a GEMM that need not round a row as it does inside a larger X.
 U and the root of S are rebuilt every step, since Z and S move with the data.
 
 Outside a run, draw_sample(...).eval_many(X) builds a fresh DrawSetup and
-basis per call, but the feature evaluations repeat: FeatureMap.features
-remembers an input from its second request on, so the draws of one model
-share Phi(Z) and the features at a repeated X.  What a repeated draw_sample
-recomputes is eigh(S), sqrt(lambda) and the RNG draws, then the solve for v
-and, at X, k(X, Z) and the two products.
+basis per call; the model keeps its root, and FeatureMap.features remembers
+an input from its second request on, so the draws of one model share Phi(Z)
+and the features at a repeated X.
 
 Seed scheme: step seed = hash(run_seed, t), draw seed = hash(step_seed, b),
 with hash = the first output word of numpy's SeedSequence over the integer
@@ -76,10 +75,12 @@ def derive_seed(*path: int) -> int:
 class DrawSetup:
     """Seed-independent part of every draw from one (model, feature map, alpha).
 
-    Build it once and call draw(rng) for each draw: a draw then costs w, u and
-    one m x m solve, independent of the set-up's feature evaluations.  Phi,
-    when given, must be fm.features(model.Z) of a points model, shape (m, M);
-    a caller that holds it skips the evaluation.
+    Build it once and call draw(rng) for each draw, or values for many seeded
+    draws: a draw then costs its RNG calls and its share of the products and
+    the solve that turn a batch of draws' normals into coefficients.  The
+    root of S comes from the model, which computes it on its first draw.
+    Phi, when given, must be fm.features(model.Z) of a points model, shape
+    (m, M); a caller that holds it skips the evaluation.
     """
 
     def __init__(self, model: SvgpModel, fm: FeatureMap, alpha: float, *,
@@ -96,31 +97,42 @@ class DrawSetup:
                     "features-variant draws need the model's own eigen-expansion map"
                 )
         self.model, self.fm, self.alpha = model, fm, alpha
-        vals, vecs = np.linalg.eigh(model.S_mat)
-        self.root = vecs * np.sqrt(np.maximum(vals, 0.0))    # S = root root^T
         self.rootlam = np.sqrt(fm.lambdas)
         self.Phi = _features_at(fm, model.Z, Phi) if model.variant == "points" else None
 
-    def draw(self, rng: np.random.Generator) -> SampleFunction:
-        """One draw; rng consumed in the order w then u."""
-        model, alpha = self.model, self.alpha
-        w = rng.standard_normal(self.fm.count)
-        u = model.m_vec + self.root @ rng.standard_normal(model.m_count)
+    def _draws(self, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One draw per generator, as rows: w (k x M), sqrt(lambda) w and v (k x m).
+        Each generator is consumed in the order w then u."""
+        model, alpha, m = self.model, self.alpha, self.model.m_count
+        w = np.empty((len(rngs), self.fm.count))
+        xi = np.empty((len(rngs), m))
+        for j, rng in enumerate(rngs):
+            w[j] = rng.standard_normal(self.fm.count)
+            xi[j] = rng.standard_normal(m)
+        u = model.m_vec + xi @ model._s_root().T
         centered = alpha * (u - model.m_vec) + model.m_vec
         rootlam_w = self.rootlam * w
         if model.variant == "points":
-            v = cho_solve((model._chol_P, True), centered - alpha * self.Phi @ rootlam_w)
+            # alpha scales Phi, as in the single-draw alpha * Phi @ rootlam_w: a
+            # draw of its own (k = 1) keeps that product's bits for every alpha
+            rhs = centered - rootlam_w @ (alpha * self.Phi).T
+            v = cho_solve((model._chol_P, True), rhs.T).T
         else:
-            m = model.m_count
-            v = (centered - alpha * rootlam_w[:m]) / model.feature_map.lambdas[:m]
-        return SampleFunction(model=model, fm=self.fm, alpha=alpha, w=w, v=v)
+            v = (centered - alpha * rootlam_w[:, :m]) / model.feature_map.lambdas[:m]
+        return w, rootlam_w, v
+
+    def draw(self, rng: np.random.Generator) -> SampleFunction:
+        """One draw; rng consumed in the order w then u."""
+        w, _, v = self._draws([rng])
+        return SampleFunction(model=self.model, fm=self.fm, alpha=self.alpha, w=w[0], v=v[0])
 
     def values(self, X, seeds, *, F: np.ndarray | None = None) -> np.ndarray:
         """Row b: self.draw(np.random.default_rng(seeds[b])) at the rows of X.
 
-        One basis, F given or fm.features(X); one product per chunk of draws, W
-        capped at _CHUNK_CELLS cells.  Equals per-draw eval_many up to the
-        summation order of the products.
+        One basis, F given or fm.features(X); per chunk of draws, W capped at
+        _CHUNK_CELLS cells, one call of _draws and one product.  Equals
+        per-draw eval_many up to the summation order of the products and
+        the solve.
         """
         X = _as_points(self.fm.dim, X)
         F, U = _basis(self.model, self.fm, X, F)
@@ -128,14 +140,9 @@ class DrawSetup:
         out = np.empty((X.shape[0], len(seeds)))
         for lo in range(0, len(seeds), chunk):
             block = seeds[lo:lo + chunk]
-            # one row per draw, then one transposing copy each: W and V must be
-            # C-ordered, since BLAS may sum a Fortran-ordered operand differently
-            WT = np.empty((len(block), self.fm.count))
-            VT = np.empty((len(block), U.shape[1]))
-            for j, s in enumerate(block):
-                w, v = self.draw(np.random.default_rng(s))._coeffs()
-                WT[j], VT[j] = w[:, 0], v[:, 0]
-            W, V = np.ascontiguousarray(WT.T), np.ascontiguousarray(VT.T)
+            # the raw w is dropped here, so at most two k x M arrays are alive
+            rootlam_w, v = self._draws([np.random.default_rng(s) for s in block])[1:]
+            W, V = _columns(self.model, rootlam_w, v)
             out[:, lo:lo + len(block)] = SampleFunction._on_basis(F, U, self.alpha, W, V)
         return out.T
 
@@ -147,6 +154,15 @@ def _basis(model: SvgpModel, fm: FeatureMap, X: np.ndarray,
     if model.variant == "points":
         return F, kernel_matrix(model.spec, X, model.Z)
     return F, F[:, : model.m_count]
+
+
+def _columns(model: SvgpModel, rootlam_w: np.ndarray,
+             v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(W, V), the weights of F and of U with one column per draw, C-ordered:
+    BLAS may sum a Fortran-ordered operand differently."""
+    if model.variant == "features":
+        v = model.feature_map.lambdas[: model.m_count] * v
+    return np.ascontiguousarray(rootlam_w.T), np.ascontiguousarray(v.T)
 
 
 @dataclass(frozen=True)
@@ -161,11 +177,7 @@ class SampleFunction:
 
     def _coeffs(self) -> tuple[np.ndarray, np.ndarray]:
         """(W, V) as columns: the weights of F and of U in this draw's values."""
-        W = np.sqrt(self.fm.lambdas) * self.w
-        if self.model.variant == "points":
-            return W[:, None], self.v[:, None]
-        lam_m = self.model.feature_map.lambdas[: self.model.m_count]
-        return W[:, None], (lam_m * self.v)[:, None]
+        return _columns(self.model, np.sqrt(self.fm.lambdas) * self.w[None], self.v[None])
 
     @staticmethod
     def _on_basis(F: np.ndarray, U: np.ndarray, alpha: float,
@@ -179,17 +191,15 @@ class SampleFunction:
         values = self._on_basis(*_basis(self.model, self.fm, X), self.alpha, *self._coeffs())
         return values[:, 0].copy()      # owns its data: a view would keep the (n, 1) base
 
-    def __call__(self, x) -> float:
-        return float(self.eval_many(x)[0])
-
 
 def draw_sample(model: SvgpModel, fm: FeatureMap, alpha: float, seed: int) -> SampleFunction:
     """One decoupled draw; fresh u and w every call, keyed by the seed.
 
-    Builds a DrawSetup per call: eigh(S) and the RNG draws are redone, while
-    Phi(Z) comes from the feature map's memo after the first two calls.  To
-    draw many times from one model, build a DrawSetup once and call its draw,
-    which gives the same draw for the same seed.
+    Builds a DrawSetup per call and draws once from it, the batch k = 1:
+    the root of S comes from the model after its first draw, and Phi(Z)
+    from the feature map's memo after the first two calls.  To draw many
+    times from one model, build a DrawSetup once and call its draw, which
+    gives the same draw for the same seed, or its values.
     """
     return DrawSetup(model, fm, alpha).draw(np.random.default_rng(seed))
 

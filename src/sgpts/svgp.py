@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -78,9 +78,10 @@ class SvgpModel:
     from (m_vec, S_mat): L_P = chol(P), a by a Cholesky solve, and Sigma =
     G^T G with G = L_S^{-1} P.
 
-    Draws read m_vec and S_mat through eigh(S) and _chol_P through
-    cho_solve, and the believed-best pick reads _a, so run logs carry their
-    exact bits.  The fit therefore keeps m_vec = P (Sigma^{-1} C y) / tau,
+    Draws read m_vec, S_mat through its root S = R R^T (from eigh(S), which
+    _s_root computes on the model's first draw and keeps in _S_root) and
+    _chol_P through cho_solve, and the believed-best pick reads _a, so run
+    logs carry their exact bits.  The fit therefore keeps m_vec = P (Sigma^{-1} C y) / tau,
     S_mat = P Sigma^{-1} P with an explicit Sigma^{-1}, _a = Sigma^{-1} C y
     / tau and _chol_P = chol(P) as written: algebraically equal forms, such
     as S_mat = G^T G with G = L_Sigma^{-1} P, round differently and change
@@ -97,6 +98,8 @@ class SvgpModel:
     _a: Optional[np.ndarray] = None
     _chol_P: Optional[np.ndarray] = None
     _chol_Sigma: Optional[np.ndarray] = None
+    # not an init field, so that a model made by dataclasses.replace computes its own
+    _S_root: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.Z is None) == (self.feature_map is None):
@@ -130,6 +133,13 @@ class SvgpModel:
             self._a = cho_solve((self._chol_P, True), self.m_vec)
             G = solve_triangular(chol_psd(self.S_mat), P, lower=True)
             self._chol_Sigma = chol_psd(G.T @ G)
+
+    def _s_root(self) -> np.ndarray:
+        """R with S = R R^T from eigh(S), computed on the first call and kept."""
+        if self._S_root is None:
+            vals, vecs = np.linalg.eigh(self.S_mat)
+            self._S_root = vecs * np.sqrt(np.maximum(vals, 0.0))
+        return self._S_root
 
     @property
     def variant(self) -> str:

@@ -27,7 +27,6 @@ from sgpts.engine import (
     resolve_config,
     run_sgp_ts,
     schedule_alpha,
-    strict_regret,
 )
 from sgpts.errors import ConfigError, InvalidInputError, ScheduleUndefinedError
 from sgpts.exact_gp import Dataset, batch_sigma_bound, gamma_bound
@@ -37,6 +36,11 @@ from sgpts.svgp import fit_svgp_closed_form, select_inducing_greedy
 from sgpts.util import as_box, rng_from_path
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+def strict_regret(log, f_star):
+    """Sum of f_star minus the true objective value over every selection."""
+    return float(sum(f_star - r.f_true for r in log.rows))
 
 
 def tiny_cfg(**kw):

@@ -1,11 +1,15 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 from scipy.stats import qmc
 
 from sgpts import sampling
-from sgpts.errors import InvalidInputError
+from sgpts.errors import InvalidInputError, NumericalDegeneracyError
 from sgpts.exact_gp import Dataset, fit_exact
 from sgpts.kernels import (
     FeatureMap,
@@ -25,7 +29,7 @@ from sgpts.sampling import (
     draw_sample,
     select_batch,
 )
-from sgpts.svgp import fit_svgp_closed_form
+from sgpts.svgp import SvgpModel, fit_svgp_closed_form, load_snapshot, write_snapshot
 
 SE1 = KernelSpec(family="se", dim=1, lengthscales=(0.25,))
 
@@ -56,6 +60,53 @@ def fitted_case(case, rng):
     if case.startswith("points"):
         return fitted_points_model(rng)[1], fm
     return fitted_features_model(rng, fm)[1], fm
+
+
+def gamma(n):
+    """gamma_n = n eps / (1 - n eps): the relative error of an n-term float sum of products."""
+    eps = np.finfo(float).eps
+    return n * eps / (1 - n * eps)
+
+
+def per_draw_coeffs(setup, seed):
+    """(W, V, bound) of one draw, computed by the per-draw expressions that the
+    batched coefficients replace: u = m + root @ xi, the prior part
+    Phi @ rootlam_w, and a one-column cho_solve (points) or the diagonal
+    solve (features).  W must be matched bit for bit; bound is how far a
+    second computation of V may lie from this one, to first order in eps.
+
+    Each computation of the right-hand side r of the solve is within
+    gamma_c times the sum of its terms' magnitudes of the exact r, with c the
+    count of roundings along the longest chain (M + m products and sums, and
+    the scaling, centering and subtraction).  A Cholesky solve with the fixed
+    factor L is backward stable, (L L^T + E) v = r with |E| <= gamma_2m |L||L^T|,
+    so two solves differ by at most |P^{-1}| (|r1 - r2| + 2 gamma_2m |L||L^T||v|).
+    The features variant's diagonal solve and rescaling add two roundings.
+    """
+    model, fm, alpha, m = setup.model, setup.fm, setup.alpha, setup.model.m_count
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(fm.count)
+    xi = rng.standard_normal(m)
+    vals, vecs = np.linalg.eigh(model.S_mat)
+    root = vecs * np.sqrt(np.maximum(vals, 0.0))
+    u = model.m_vec + root @ xi
+    centered = alpha * (u - model.m_vec) + model.m_vec
+    rootlam_w = np.sqrt(fm.lambdas) * w
+    if model.variant == "points":
+        prior = np.abs(setup.Phi) @ np.abs(rootlam_w)
+    else:
+        prior = np.abs(rootlam_w[:m])
+    size = np.abs(model.m_vec) + alpha * (np.abs(model.m_vec) + np.abs(root) @ np.abs(xi) + prior)
+    dr = 2 * gamma(fm.count + m + 6) * size
+    if model.variant == "points":
+        L = model._chol_P
+        v = cho_solve((L, True), centered - alpha * setup.Phi @ rootlam_w)
+        P_inv = np.abs(cho_solve((L, True), np.eye(m)))
+        bound = P_inv @ (dr + 2 * gamma(2 * m) * (np.abs(L) @ (np.abs(L.T) @ np.abs(v))))
+        return rootlam_w, v, bound
+    lam = model.feature_map.lambdas[:m]
+    v = (centered - alpha * rootlam_w[:m]) / lam
+    return rootlam_w, lam * v, dr
 
 
 class TestMeanInvariance:
@@ -247,9 +298,12 @@ class TestDrawValues:
     @pytest.mark.parametrize("n_draws", [1, 7])
     def test_chunked_values_match_per_draw_within_dot_product_bound(self, case, n_draws,
                                                                     monkeypatch):
-        # Both routes compute alpha (F W)_ib + (U V)_ib from the same W and V and
-        # differ only in summation order (one GEMM per chunk against one GEMV per
-        # draw).  A length-n dot product computed in floating point is within
+        # Both routes compute alpha (F W)_ib + (U V)_ib from the same W, bit for
+        # bit, and from V that differ only by the rounding of the batched
+        # products and solve (bounded by per_draw_coeffs, and at these
+        # instances far inside the bound below).  The products differ in
+        # summation order (one GEMM per chunk against one GEMV per draw).  A
+        # length-n dot product computed in floating point is within
         # gamma_n |x|.|y| of the exact one, gamma_n = n eps / (1 - n eps); the
         # scaling by alpha and the final add cost one rounding each.  So each
         # route is within (M + m + 2) eps (alpha |F||W| + |U||V|) of the exact
@@ -283,6 +337,59 @@ class TestDrawValues:
         assert np.all(np.abs(got - want) <= bound)
 
     @pytest.mark.parametrize("case", VARIANT_CASES)
+    def test_batched_coefficients_match_per_draw_expressions(self, case, monkeypatch):
+        # seven draws at alpha != 1 in chunks of 3, 3 and a ragged 1: W is the
+        # per-draw sqrt(lambda) w bit for bit, V within the solve bound, and
+        # a single draw's V is the per-draw V bit for bit
+        model, fm = fitted_case(case, np.random.default_rng(21))
+        setup = DrawSetup(model, fm, 2.3)
+        seeds = [derive_seed(77, b) for b in range(7)]
+        monkeypatch.setattr(sampling, "_CHUNK_CELLS", 3 * fm.count)
+        blocks = []
+        on_basis = SampleFunction._on_basis
+
+        def kept(F, U, alpha, W, V):
+            blocks.append((W, V))
+            return on_basis(F, U, alpha, W, V)
+
+        monkeypatch.setattr(SampleFunction, "_on_basis", staticmethod(kept))
+        setup.values(np.linspace(0.0, 1.0, 5).reshape(-1, 1), seeds)
+        assert [W.shape[1] for W, _ in blocks] == [3, 3, 1]
+        assert all(W.flags.c_contiguous and V.flags.c_contiguous for W, V in blocks)
+        W, V = np.hstack([W for W, _ in blocks]), np.hstack([V for _, V in blocks])
+        for b, seed in enumerate(seeds):
+            want_W, want_V, bound = per_draw_coeffs(setup, seed)
+            one_W, one_V = setup.draw(np.random.default_rng(seed))._coeffs()
+            assert np.array_equal(W[:, b], want_W) and np.array_equal(one_W[:, 0], want_W)
+            assert np.all(np.abs(V[:, b] - want_V) <= bound)
+            # a draw of its own takes the same products and solve as the reference
+            assert np.array_equal(one_V[:, 0], want_V)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(case=st.sampled_from(VARIANT_CASES), alpha=st.floats(min_value=1.0, max_value=8.0),
+           n_draws=st.integers(min_value=1, max_value=9),
+           per_chunk=st.integers(min_value=1, max_value=4),
+           key=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_chunked_values_match_eval_many_property(self, case, alpha, n_draws, per_chunk,
+                                                     key):
+        # the bound of test_chunked_values_match_per_draw_within_dot_product_bound,
+        # on random data, draws, alpha and chunk widths
+        model, fm = fitted_case(case, np.random.default_rng(key))
+        X = np.linspace(-0.1, 1.1, 13).reshape(-1, 1)
+        setup = DrawSetup(model, fm, alpha)
+        seeds = [derive_seed(key, b) for b in range(n_draws)]
+        draws = [setup.draw(np.random.default_rng(seed)) for seed in seeds]
+        F = fm.features(X)
+        U = kernel_matrix(SE1, X, model.Z) if model.variant == "points" else F[:, : model.m_count]
+        scale = np.stack([(alpha * np.abs(F) @ np.abs(W) + np.abs(U) @ np.abs(V))[:, 0]
+                          for W, V in (d._coeffs() for d in draws)])
+        bound = 2 * (fm.count + model.m_count + 2) * np.finfo(float).eps * scale
+        with mock.patch.object(sampling, "_CHUNK_CELLS", per_chunk * fm.count):
+            got = setup.values(X, seeds)
+        want = np.stack([d.eval_many(X) for d in draws])
+        assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("case", VARIANT_CASES)
     def test_eval_many_owns_its_values(self, case):
         # a view would keep the (n, 1) product alive for as long as the values
         model, fm = fitted_case(case, np.random.default_rng(17))
@@ -300,6 +407,89 @@ class TestDrawValues:
         pts, idx = select_batch(model, fm, grid, B=6, alpha=1.3, step_seed=99)
         assert np.array_equal(idx, np.argmax(vals, axis=1))
         assert np.array_equal(pts, grid.points[idx])
+
+
+class TestRootOfS:
+    """The root of S is computed once per model, on its first draw, and never copied."""
+
+    @staticmethod
+    def counted_eigh(monkeypatch):
+        calls, eigh = [], np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    @staticmethod
+    def own_root(model):
+        vals, vecs = np.linalg.eigh(model.S_mat)
+        return vecs * np.sqrt(np.maximum(vals, 0.0))
+
+    @pytest.mark.parametrize("case", VARIANT_CASES)
+    def test_one_eigh_per_model(self, case, monkeypatch):
+        model, fm = fitted_case(case, np.random.default_rng(22))
+        calls = self.counted_eigh(monkeypatch)
+        decoupled_mean_cov(model, fm, 1.5, np.array([[0.2], [0.6]]))
+        assert calls == []
+        for b in range(50):
+            draw_sample(model, fm, 1.5, seed=b).eval_many([[0.3]])
+        assert len(calls) == 1 and calls[0] is model.S_mat
+
+    def test_rebuilt_models_compute_their_own_root(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        data, model = fitted_points_model(rng)
+        fm = mercer_truncate(SE1, 64, [0.0], [1.0])
+        prior = SvgpModel(spec=SE1, tau=0.2, Z=data.X)
+        snapshot = write_snapshot(model)
+        for drawn in (prior, model):
+            draw_sample(drawn, fm, 1.0, seed=0)
+        assert np.array_equal(prior._s_root(), self.own_root(prior))
+        assert write_snapshot(model) == snapshot
+        # the fit's replace of a drawn-from prior, an edited fitted model, a snapshot
+        caches = dict(_a=None, _chol_P=None, _chol_Sigma=None)
+        fitted = dataclasses.replace(prior, m_vec=model.m_vec, S_mat=model.S_mat, **caches)
+        edited = dataclasses.replace(model, m_vec=model.m_vec + 0.1, S_mat=0.5 * model.S_mat,
+                                     **caches)
+        rebuilt = (fitted, edited, load_snapshot(snapshot))
+        want = [self.own_root(r) for r in rebuilt]
+        calls = self.counted_eigh(monkeypatch)
+        for r, root in zip(rebuilt, want):
+            assert r._S_root is None
+            draw_sample(r, fm, 1.0, seed=0)
+            assert calls[-1] is r.S_mat and np.array_equal(r._s_root(), root)
+        assert len(calls) == 3
+        assert not np.array_equal(edited._s_root(), model._s_root())
+
+
+class TestNearZeroNoise:
+    @pytest.mark.parametrize("case", VARIANT_CASES)
+    @pytest.mark.parametrize("duplicated", [False, True])
+    def test_draws_are_finite_or_a_typed_error(self, case, duplicated):
+        # tau = 1e-12 on distinct inputs, and with every third input repeated
+        # (points models put Z on the inputs, so Z repeats too): either every
+        # draw is finite or NumericalDegeneracyError names the failure
+        rng = np.random.default_rng(24)
+        X = np.linspace(0.05, 0.95, 10).reshape(-1, 1)
+        if duplicated:
+            X = np.concatenate([X, X[::3]])
+        data = Dataset(X, np.sin(6.0 * X[:, 0]) + 0.1 * rng.normal(size=len(X)), 1, len(X))
+        fm = rff_sample(SE1, 64, seed=3) if case == "points-rff" else \
+            mercer_truncate(SE1, 64, [0.0], [1.0])
+        probes = np.linspace(0.0, 1.0, 9).reshape(-1, 1)
+        try:
+            if case.startswith("points"):
+                model = fit_svgp_closed_form(data, SE1, 1e-12, Z=X)
+            else:
+                model = fit_svgp_closed_form(data, SE1, 1e-12, feature_map=fm, m=10)
+            setup = DrawSetup(model, fm, 1.5)
+            values = setup.values(probes, [derive_seed(25, b) for b in range(20)])
+            one = draw_sample(model, fm, 1.5, seed=26).eval_many(probes)
+        except NumericalDegeneracyError:
+            return
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(one))
 
 
 class TestInputPoints:
@@ -410,7 +600,8 @@ class TestSelectBatch:
             assert np.array_equal(pts[b], grid.points[idx[b]])
 
     def test_set_up_runs_once_per_call(self, monkeypatch):
-        # one select_batch call: features at the grid and at Z, one eigh of S
+        # one select_batch call: features at the grid and at Z, one eigh of S,
+        # which the model keeps for every later call
         rng = np.random.default_rng(13)
         data, model = fitted_points_model(rng)
         fm = mercer_truncate(SE1, 64, [0.0], [1.0])
@@ -433,7 +624,7 @@ class TestSelectBatch:
         assert calls == {"features": 2, "eigh": 1}
         # given the grid's features, only Phi(Z) is evaluated
         select_batch(model, fm, grid, B=5, alpha=1.0, step_seed=5, F=F)
-        assert calls == {"features": 3, "eigh": 2}
+        assert calls == {"features": 3, "eigh": 1}
 
     def test_seed_order_permutes_outputs_only(self):
         rng = np.random.default_rng(10)
