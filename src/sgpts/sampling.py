@@ -21,14 +21,26 @@ DrawSetup (model, feature map, alpha): the checks on alpha and on the map,
 sqrt(lambda), and for points Phi = Phi(Z).  Per draw: the RNG calls for w and
 u.  Per batch of k draws: u = m + Xi R^T and the prior part
 (sqrt(lambda) w) (alpha Phi)^T as two products, then one solve with k
-right-hand sides; one draw is the batch k = 1.  Per set of evaluation points: the basis (F, U), with F the
-prior features and U = k(X, Z) for points or F's leading m columns for
-features.  DrawSetup.values scores a chunk of draws as alpha F W + U V, with
-C-ordered W (M x k) and V (m x k) and W capped at _CHUNK_CELLS cells (up to
-8192 draws on an M <= 512 map is one product).
+right-hand sides; one draw is the batch k = 1.  Per set of evaluation
+points: the basis (F, U), with F the prior features one row per feature
+(M x n, kernels.feature_rows) and U = k(X, Z) (n x m) for points or the
+transpose of F's leading m rows for features.  DrawSetup.values scores a
+chunk of k draws into k rows of the result as
 
-In a run, F on the candidate grid is computed once per distinct grid (the
-grid stops changing once it is capped) and passed to select_batch.  With a
+    out = W F;  out *= alpha (when alpha != 1);  out += (U V)^T
+
+with W = sqrt(lambda) w one row per draw (k x M), V one column per draw
+(m x k), both C-ordered, and W capped at _CHUNK_CELLS cells (up to 8192 draws
+on an M <= 512 map is one product); each draw's values, and select_batch's
+argmax over them, lie along a contiguous row.  eval_many is the same
+evaluator at k = 1 on the transpose of fm.features(X), which keeps the memo.
+Against the former (n x M) by (M x k) product, values at the 8000 x 512 RFF
+grid keep their bits, while on Mercer maps (M = 128, 256) the prior product
+may move in its last bits; no argmax of the shipped configs' runs moved.
+
+In a run, the feature rows of the candidate grid are computed once per
+distinct grid (the grid stops changing once it is capped), held as the run's
+only copy and passed to select_batch.  With a
 Mercer map, inducing points picked from the observations come with Phi(Z)
 gathered from the grid features of the steps that queried them, and
 select_batch passes it on.  Phi(Z) is computed only for other inducing
@@ -56,7 +68,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .errors import InvalidInputError
-from .kernels import FeatureMap, _as_points, _features_at, kernel_matrix
+from .kernels import FeatureMap, _as_points, _features_at, feature_rows, kernel_matrix
 from .svgp import SvgpModel
 from .util import as_box
 
@@ -129,40 +141,49 @@ class DrawSetup:
     def values(self, X, seeds, *, F: np.ndarray | None = None) -> np.ndarray:
         """Row b: self.draw(np.random.default_rng(seeds[b])) at the rows of X.
 
-        One basis, F given or fm.features(X); per chunk of draws, W capped at
-        _CHUNK_CELLS cells, one call of _draws and one product.  Equals
-        per-draw eval_many up to the summation order of the products and
-        the solve.
+        One basis: F, when given, must be feature_rows(fm, X), the features
+        at X one row per feature, shape (M, n); else they are computed.  Per
+        chunk of draws, W capped at _CHUNK_CELLS cells, one call of _draws
+        and one product of the chunk's sqrt(lambda) w rows with F, written
+        into the chunk's rows of the result.  Equals per-draw eval_many up to
+        the summation order of the products and the solve; against the
+        former (n x M) by (M x k) product, values on Mercer maps may move in
+        their last bits.
         """
         X = _as_points(self.fm.dim, X)
         F, U = _basis(self.model, self.fm, X, F)
         chunk = max(1, _CHUNK_CELLS // self.fm.count)
-        out = np.empty((X.shape[0], len(seeds)))
+        out = np.empty((len(seeds), X.shape[0]))
         for lo in range(0, len(seeds), chunk):
             block = seeds[lo:lo + chunk]
             # the raw w is dropped here, so at most two k x M arrays are alive
             rootlam_w, v = self._draws([np.random.default_rng(s) for s in block])[1:]
-            W, V = _columns(self.model, rootlam_w, v)
-            out[:, lo:lo + len(block)] = SampleFunction._on_basis(F, U, self.alpha, W, V)
-        return out.T
+            SampleFunction._on_basis(F, U, self.alpha, rootlam_w, _update_columns(self.model, v),
+                                     out[lo:lo + len(block)])
+        return out
 
 
 def _basis(model: SvgpModel, fm: FeatureMap, X: np.ndarray,
            F: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(F, U) at X: the prior features (computed unless given) and the update basis."""
-    F = _features_at(fm, X, F)
+    """(F, U) at X: the prior features one row per feature, (M, n), computed
+    unless given, and the update basis, (n, m)."""
+    if F is None:
+        F = feature_rows(fm, X)
+    elif F.shape != (fm.count, X.shape[0]):
+        raise InvalidInputError(
+            f"feature rows have shape {F.shape}, expected {(fm.count, X.shape[0])}"
+        )
     if model.variant == "points":
         return F, kernel_matrix(model.spec, X, model.Z)
-    return F, F[:, : model.m_count]
+    return F, F[: model.m_count].T
 
 
-def _columns(model: SvgpModel, rootlam_w: np.ndarray,
-             v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(W, V), the weights of F and of U with one column per draw, C-ordered:
-    BLAS may sum a Fortran-ordered operand differently."""
+def _update_columns(model: SvgpModel, v: np.ndarray) -> np.ndarray:
+    """V, the weights of U with one column per draw (m x k), C-ordered: BLAS
+    may sum a Fortran-ordered operand differently."""
     if model.variant == "features":
         v = model.feature_map.lambdas[: model.m_count] * v
-    return np.ascontiguousarray(rootlam_w.T), np.ascontiguousarray(v.T)
+    return np.ascontiguousarray(v.T)
 
 
 @dataclass(frozen=True)
@@ -176,20 +197,29 @@ class SampleFunction:
     v: np.ndarray
 
     def _coeffs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(W, V) as columns: the weights of F and of U in this draw's values."""
-        return _columns(self.model, np.sqrt(self.fm.lambdas) * self.w[None], self.v[None])
+        """(W, V): this draw's weights of F as a row (1 x M) and of U as a column (m x 1)."""
+        return np.sqrt(self.fm.lambdas) * self.w[None], _update_columns(self.model, self.v[None])
 
     @staticmethod
-    def _on_basis(F: np.ndarray, U: np.ndarray, alpha: float,
-                  W: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Values of k draws, one per column of W (M x k) and V (m x k), at the
-        points whose basis _basis returned as (F, U)."""
-        return alpha * (F @ W) + U @ V
+    def _on_basis(F: np.ndarray, U: np.ndarray, alpha: float, W: np.ndarray,
+                  V: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Values of k draws into out (k x n), one per row of W (k x M) and
+        column of V (m x k), at the points whose basis _basis returned as (F, U):
+        W F, scaled by alpha, plus (U V)^T."""
+        np.matmul(W, F, out=out)
+        if alpha != 1.0:
+            out *= alpha
+        out += (U @ V).T
+        return out
 
     def eval_many(self, X) -> np.ndarray:
+        """This draw's values at the rows of X; the features come from
+        fm.features(X), so a repeated X is evaluated once per map."""
         X = _as_points(self.fm.dim, X)
-        values = self._on_basis(*_basis(self.model, self.fm, X), self.alpha, *self._coeffs())
-        return values[:, 0].copy()      # owns its data: a view would keep the (n, 1) base
+        values = np.empty(X.shape[0])
+        basis = _basis(self.model, self.fm, X, self.fm.features(X).T)
+        self._on_basis(*basis, self.alpha, *self._coeffs(), values[None])
+        return values
 
 
 def draw_sample(model: SvgpModel, fm: FeatureMap, alpha: float, seed: int) -> SampleFunction:
@@ -238,11 +268,10 @@ def decoupled_mean_cov(
 
 @dataclass(frozen=True)
 class Discretization:
-    """Candidate grid for one step: points, provenance, and the density constant."""
+    """Candidate grid for one step: points, whether the cap replaced the lattice,
+    and the density constant."""
 
     points: np.ndarray
-    t: int
-    spacing: float
     capped: bool
     density_const: float
 
@@ -283,11 +312,9 @@ def build_grid(lower, upper, t: int, lipschitz: float, cap: int) -> Discretizati
         axes = [np.linspace(lo[i], hi[i], counts[i]) for i in range(d)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
-        return Discretization(points=pts, t=t, spacing=h, capped=False,
-                              density_const=density_const)
+        return Discretization(points=pts, capped=False, density_const=density_const)
     pts = lo + _unit_halton(d, cap) * (hi - lo)
-    return Discretization(points=pts, t=t, spacing=h, capped=True,
-                          density_const=density_const)
+    return Discretization(points=pts, capped=True, density_const=density_const)
 
 
 def select_batch(
@@ -305,11 +332,12 @@ def select_batch(
 
     Returns (points, indices).  Draw b uses seed hash(step_seed, b); ties in
     the argmax resolve to the lowest grid index.  F, when given, must be
-    fm.features(grid.points), shape (n_points, M); a caller whose grid
-    repeats across steps passes it to skip the re-evaluation.  Phi goes to
-    DrawSetup, which documents it.  The B draws are
-    scored by DrawSetup.values into a B x n_points values matrix, with one
-    product: its chunk cap holds far more than B draws of any map used here.
+    feature_rows(fm, grid.points), the grid's features one row per feature,
+    shape (M, n_points); a caller whose grid repeats across steps passes it
+    to skip the re-evaluation.  Phi goes to DrawSetup, which documents it.
+    The B draws are scored by DrawSetup.values into a B x n_points values
+    matrix, with one product: its chunk cap holds far more than B draws of
+    any map used here.  The argmax runs along each draw's contiguous row.
     """
     if B < 1:
         raise InvalidInputError("B must be >= 1")

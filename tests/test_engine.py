@@ -30,7 +30,7 @@ from sgpts.engine import (
 )
 from sgpts.errors import ConfigError, InvalidInputError, ScheduleUndefinedError
 from sgpts.exact_gp import Dataset, batch_sigma_bound, gamma_bound
-from sgpts.kernels import FeatureMap, KernelSpec, mercer_truncate
+from sgpts.kernels import FeatureMap, KernelSpec, feature_rows, mercer_truncate
 from sgpts.sampling import DrawSetup, _unit_halton, build_grid, select_batch
 from sgpts.svgp import fit_svgp_closed_form, select_inducing_greedy
 from sgpts.util import as_box, rng_from_path
@@ -417,19 +417,23 @@ class TestBelievedBest:
 
 
 class TestObservedFeatures:
-    """A Mercer run reads its observed points' features from its grids' rows."""
+    """A Mercer run reads its observed points' features from its grids' feature rows."""
 
     def observed(self):
-        # data as a run holds it: B = 4 queried grid rows a step, repeats included
+        # data as a run holds it: B = 4 queried grid points a step, repeats
+        # included, their features gathered from the grid's feature-major
+        # matrix into a C-ordered buffer
         spec = KernelSpec(family="se", dim=1, lengthscales=(0.1,))
         fm = mercer_truncate(spec, 96, [0.0], [1.0])
         grid = build_grid([0.0], [1.0], t=4, lipschitz=3.0, cap=2000)
-        grid_F = fm.features(grid.points)
+        grid_F = feature_rows(fm, grid.points)
         rng = np.random.default_rng(51)
         idx = rng.integers(0, grid.n_points, size=24)
         idx[5] = idx[2]
         data = Dataset(grid.points[idx], rng.normal(size=24), 4, 6)
-        return spec, fm, grid, grid_F, data, grid_F[idx]
+        F_obs = np.empty((24, fm.count))
+        F_obs[:] = grid_F[:, idx].T
+        return spec, fm, grid, grid_F, data, F_obs
 
     def test_points_keywords_match_the_default_path(self):
         spec, fm, grid, grid_F, data, F_obs = self.observed()
@@ -480,13 +484,19 @@ class TestObservedFeatures:
         if cfg.variant == "points":     # the step-1 Halton Z, after the first grid
             lo, hi = as_box(bench.lo, bench.hi)
             expected.insert(1, lo + _unit_halton(bench.dim, cfg.m) * (hi - lo))
+        # every evaluation, through feature_rows (the grids) or features (Z)
         calls = []
-        features = FeatureMap.features
+        rows, features = engine.feature_rows, FeatureMap.features
+
+        def recorded_rows(fm, X):
+            calls.append(np.array(X, dtype=float))
+            return rows(fm, X)
 
         def recorded(fm, X):
             calls.append(np.array(X, dtype=float))
             return features(fm, X)
 
+        monkeypatch.setattr(engine, "feature_rows", recorded_rows)
         monkeypatch.setattr(FeatureMap, "features", recorded)
         log = run_sgp_ts(cfg, bench, seed=0)
         assert not log.aborted and len(log.rows) == cfg.T * cfg.B
@@ -625,21 +635,25 @@ class TestRunLoop:
         ("multimodal1d", (), 12),                # 11 lattices, then capped from t = 12
     ])
     def test_grid_features_once_per_distinct_grid(self, monkeypatch, config, overrides, want):
+        # grid evaluations through either entry point, feature_rows or features
         grids, grid_calls = [], []
-        build, features = engine.build_grid, FeatureMap.features
+        build, rows, features = engine.build_grid, engine.feature_rows, FeatureMap.features
 
         def recorded_build(*args, **kwargs):
             grid = build(*args, **kwargs)
             grids.append(grid.points)
             return grid
 
-        def counted_features(self, X):
-            if any(np.array_equal(X, g) for g in grids):
-                grid_calls.append(len(X))
-            return features(self, X)
+        def counted(evaluate):
+            def wrapper(fm, X):
+                if any(np.array_equal(X, g) for g in grids):
+                    grid_calls.append(len(X))
+                return evaluate(fm, X)
+            return wrapper
 
         monkeypatch.setattr(engine, "build_grid", recorded_build)
-        monkeypatch.setattr(FeatureMap, "features", counted_features)
+        monkeypatch.setattr(engine, "feature_rows", counted(rows))
+        monkeypatch.setattr(FeatureMap, "features", counted(features))
         cfg = parse_config((REPO / "configs" / f"{config}.cfg").read_text(), overrides)
         run_sgp_ts(cfg, get_benchmark(cfg.objective), 0)
         assert len(grid_calls) == want
@@ -733,6 +747,30 @@ class TestRecordedRunLogs:
             "theoretical:1:steps": "7158584bcd0966885856cca3017410cda78ae7335adb0780e40dd4bab160846c",
             "multimodal1d:0:baseline": "ee7453e455cd7f13a5396ac368d5632771051bc8a5a7f0c502f5aeb26f52686c",
         }
+
+    def test_run_csv_does_not_depend_on_blas_threads(self):
+        """hartmann6 at grid_cap=4000, m=200, T=15 writes the same run CSV bytes
+        with BLAS at 1 and at 2 threads: the grid's (draws x M) by (M x n)
+        product and the k-means fit must not round with the thread count.  The
+        steps CSV is not compared: its gamma_t factors I + K / tau, which does."""
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from sgpts.benchmarks import get_benchmark\n"
+            "from sgpts.engine import parse_config, run_sgp_ts\n"
+            "cfg = parse_config(Path('configs/hartmann6.cfg').read_text(),\n"
+            "                   ('grid_cap=4000', 'm=200', 'T=15'))\n"
+            "sys.stdout.write(run_sgp_ts(cfg, get_benchmark(cfg.objective), 0).to_csv())\n"
+        )
+        src = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        csvs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads, PYTHONPATH=src)
+            csvs.append(subprocess.run([sys.executable, "-c", script], cwd=REPO, env=env,
+                                       capture_output=True, text=True, check=True).stdout)
+        assert csvs[0].count("\n") == 15 * 20 + 1
+        assert csvs[0] == csvs[1]
 
     def test_shipped_hartmann6_run_matches_recorded_digest(self):
         """hartmann6.cfg as shipped: 40000 Halton candidates scored in one product per batch."""

@@ -14,6 +14,7 @@ from sgpts.kernels import (
     KernelSpec,
     _axis_sup,
     _scaled_sqdist,
+    feature_rows,
     kernel_matrix,
     mercer_truncate,
     rff_sample,
@@ -358,12 +359,12 @@ class TestFeatureLayerBits:
         sup = _axis_sup(0.3, 0.0, 1.0, 5)
         assert not sup.flags.writeable
 
-    def test_phis_are_an_n_by_orders_view(self):
+    def test_phis_are_contiguous_orders_by_n_rows(self):
         ax = mercer_truncate(se(ls=0.2), 5, [0.0], [1.0])._axes[0]
         x = np.linspace(-0.5, 1.5, 7)
         got = ax.phis(x, 5)
-        assert got.shape == (7, 5) and got.base is not None
-        assert np.array_equal(got, reference_phis(ax, x, 5))
+        assert got.shape == (5, 7) and got.flags.c_contiguous
+        assert np.array_equal(got, reference_phis(ax, x, 5).T)
 
     @pytest.mark.parametrize("M", [1, 2, 511, 512])
     @pytest.mark.parametrize("spec", [se(dim=6, ls=0.3, var=0.8), matern(2.5, dim=6, ls=0.4)],
@@ -430,6 +431,84 @@ class TestKernelMatrixBits:
         grid = rng.uniform(0.0, 1.0, size=(8000, 6))
         Z = rng.uniform(0.0, 1.0, size=(100, 6))
         assert np.array_equal(kernel_matrix(spec, grid, Z), reference_kernel_matrix(spec, grid, Z))
+
+
+# Feature rows: feature_rows(fm, X) is the one evaluation of a map, one row per
+# feature; features(X) is its transpose, C-ordered.  Both must reproduce the
+# column-at-a-time evaluation they replaced bit for bit.
+
+def reference_columns(fm, X):
+    """The (n, count) features as evaluated column-wise: Mercer through np.take
+    of each axis' phi columns, RFF through strided column writes."""
+    if fm.kind == "mercer":
+        out = np.ones((X.shape[0], fm.count))
+        for axis in range(fm.dim):
+            orders = int(fm._index[:, axis].max()) + 1
+            phis = fm._axes[axis].phis(X[:, axis], orders).T
+            out *= np.take(phis, fm._index[:, axis], axis=1)
+        return out
+    z = X @ fm._freqs.T
+    n_pair = fm._freqs.shape[0] if fm.count % 2 == 0 else fm._freqs.shape[0] - 1
+    cols = np.empty((X.shape[0], fm.count))
+    np.cos(z[:, :n_pair], out=cols[:, 0 : 2 * n_pair : 2])
+    np.sin(z[:, :n_pair], out=cols[:, 1 : 2 * n_pair : 2])
+    if fm.count % 2 == 1:
+        np.cos(z[:, -1] + fm._phase, out=cols[:, -1])
+    cols *= fm._amp
+    return cols
+
+
+def shuffled_index_map(fm, seed):
+    """fm with its index rows permuted and some repeated: an index that is not arange."""
+    rows = np.random.default_rng(seed).integers(0, fm.count, size=fm.count)
+    rows[: fm.count // 2] = np.arange(fm.count)[::-1][: fm.count // 2]
+    return dataclasses.replace(fm, _index=fm._index[rows], lambdas=fm.lambdas[rows],
+                               sup_bounds=fm.sup_bounds[rows])
+
+
+ROW_MAPS = {
+    "mercer-1d": lambda: mercer_truncate(se(ls=0.05), 256, [0.0], [1.0]),
+    "mercer-1d-shuffled": lambda: shuffled_index_map(
+        mercer_truncate(se(ls=0.1), 96, [0.0], [1.0]), 81),
+    "mercer-2d": lambda: mercer_truncate(se(dim=2, ls=0.2), 128, [0.0, -1.0], [1.0, 1.0]),
+    "mercer-3d-shuffled": lambda: shuffled_index_map(mercer_truncate(
+        KernelSpec(family="se", dim=3, lengthscales=(0.3, 0.7, 1.5)), 100,
+        [0.0, -1.0, 2.0], [1.0, 1.0, 5.0]), 82),
+    "rff-even": lambda: rff_sample(se(dim=6, ls=0.3, var=0.8), 128, seed=13),
+    "rff-odd": lambda: rff_sample(matern(2.5, dim=6, ls=0.4), 129, seed=14),
+}
+
+
+class TestFeatureRowBits:
+    @pytest.mark.parametrize("kind", sorted(ROW_MAPS))
+    @pytest.mark.parametrize("n", [1, 5, 2000, 8000])
+    def test_rows_match_column_reference(self, kind, n):
+        fm = ROW_MAPS[kind]()
+        # Mercer: points inside the box and up to half a side beyond it
+        lo, hi = (np.asarray(fm.origin[1]), np.asarray(fm.origin[2])) if fm.kind == "mercer" \
+            else (np.zeros(fm.dim), np.ones(fm.dim))
+        half = 0.5 * (hi - lo)
+        X = np.random.default_rng(n).uniform(lo - half, hi + half, size=(n, fm.dim))
+        want = reference_columns(fm, X)
+        rows = feature_rows(fm, X)
+        assert rows.shape == (fm.count, n) and rows.flags.c_contiguous
+        assert not rows.flags.writeable
+        assert np.array_equal(rows.T, want)
+        F = fm.features(X)
+        assert F.flags.c_contiguous and not F.flags.writeable
+        assert F.tobytes() == want.tobytes()
+
+    def test_rows_are_computed_afresh(self):
+        # the rows skip the memo: a repeated X is evaluated again, and the
+        # memo is left as it was
+        fm = ROW_MAPS["rff-odd"]()
+        X = np.random.default_rng(5).uniform(size=(7, 6))
+        first = feature_rows(fm, X)
+        second = feature_rows(fm, X)
+        assert second is not first and np.array_equal(first, second)
+        assert fm._memo == []
+        with pytest.raises(InvalidInputError):
+            feature_rows(fm, X[:, :5])
 
 
 # FeatureMap.features remembers repeated inputs.

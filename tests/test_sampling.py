@@ -14,6 +14,7 @@ from sgpts.exact_gp import Dataset, fit_exact
 from sgpts.kernels import (
     FeatureMap,
     KernelSpec,
+    feature_rows,
     kernel_matrix,
     mercer_truncate,
     rff_sample,
@@ -232,9 +233,10 @@ class TestAnalyticCovariance:
             select_batch(model, fm, grid, B=2, alpha=0.99, step_seed=0)
         with pytest.raises(InvalidInputError):
             select_batch(model, fm, grid, B=0, alpha=1.0, step_seed=0)
-        F = fm.features(grid.points)
-        for wrong in (F[1:], F[:, 1:], F.ravel()):
-            with pytest.raises(InvalidInputError):
+        # the rows are checked by shape, and the (n, M) features(X) layout is refused
+        F = feature_rows(fm, grid.points)
+        for wrong in (F[1:], F[:, 1:], F.ravel(), fm.features(grid.points)):
+            with pytest.raises(InvalidInputError, match="feature rows have shape"):
                 select_batch(model, fm, grid, B=2, alpha=1.0, step_seed=0, F=wrong)
 
     def test_rejects_another_kernels_eigen_map(self):
@@ -302,7 +304,8 @@ class TestDrawValues:
         # bit, and from V that differ only by the rounding of the batched
         # products and solve (bounded by per_draw_coeffs, and at these
         # instances far inside the bound below).  The products differ in
-        # summation order (one GEMM per chunk against one GEMV per draw).  A
+        # summation order (one GEMM per chunk on the feature rows against one
+        # GEMV per draw on the transposed features(X)).  A
         # length-n dot product computed in floating point is within
         # gamma_n |x|.|y| of the exact one, gamma_n = n eps / (1 - n eps); the
         # scaling by alpha and the final add cost one rounding each.  So each
@@ -317,7 +320,7 @@ class TestDrawValues:
         want = np.stack([d.eval_many(X) for d in draws])
         F = fm.features(X)
         U = kernel_matrix(SE1, X, model.Z) if model.variant == "points" else F[:, : model.m_count]
-        scale = np.stack([(alpha * np.abs(F) @ np.abs(W) + np.abs(U) @ np.abs(V))[:, 0]
+        scale = np.stack([(alpha * np.abs(W) @ np.abs(F).T + (np.abs(U) @ np.abs(V)).T)[0]
                           for W, V in (d._coeffs() for d in draws)])
         bound = 2 * (fm.count + model.m_count + 2) * np.finfo(float).eps * scale
 
@@ -326,9 +329,9 @@ class TestDrawValues:
         widths = []
         on_basis = SampleFunction._on_basis
 
-        def counted(F, U, alpha, W, V):
-            widths.append(W.shape[1])
-            return on_basis(F, U, alpha, W, V)
+        def counted(F, U, alpha, W, V, out):
+            widths.append(W.shape[0])
+            return on_basis(F, U, alpha, W, V, out)
 
         monkeypatch.setattr(SampleFunction, "_on_basis", staticmethod(counted))
         got = setup.values(X, seeds)
@@ -348,19 +351,19 @@ class TestDrawValues:
         blocks = []
         on_basis = SampleFunction._on_basis
 
-        def kept(F, U, alpha, W, V):
+        def kept(F, U, alpha, W, V, out):
             blocks.append((W, V))
-            return on_basis(F, U, alpha, W, V)
+            return on_basis(F, U, alpha, W, V, out)
 
         monkeypatch.setattr(SampleFunction, "_on_basis", staticmethod(kept))
         setup.values(np.linspace(0.0, 1.0, 5).reshape(-1, 1), seeds)
-        assert [W.shape[1] for W, _ in blocks] == [3, 3, 1]
+        assert [W.shape[0] for W, _ in blocks] == [3, 3, 1]
         assert all(W.flags.c_contiguous and V.flags.c_contiguous for W, V in blocks)
-        W, V = np.hstack([W for W, _ in blocks]), np.hstack([V for _, V in blocks])
+        W, V = np.vstack([W for W, _ in blocks]), np.hstack([V for _, V in blocks])
         for b, seed in enumerate(seeds):
             want_W, want_V, bound = per_draw_coeffs(setup, seed)
             one_W, one_V = setup.draw(np.random.default_rng(seed))._coeffs()
-            assert np.array_equal(W[:, b], want_W) and np.array_equal(one_W[:, 0], want_W)
+            assert np.array_equal(W[b], want_W) and np.array_equal(one_W[0], want_W)
             assert np.all(np.abs(V[:, b] - want_V) <= bound)
             # a draw of its own takes the same products and solve as the reference
             assert np.array_equal(one_V[:, 0], want_V)
@@ -381,7 +384,7 @@ class TestDrawValues:
         draws = [setup.draw(np.random.default_rng(seed)) for seed in seeds]
         F = fm.features(X)
         U = kernel_matrix(SE1, X, model.Z) if model.variant == "points" else F[:, : model.m_count]
-        scale = np.stack([(alpha * np.abs(F) @ np.abs(W) + np.abs(U) @ np.abs(V))[:, 0]
+        scale = np.stack([(alpha * np.abs(W) @ np.abs(F).T + (np.abs(U) @ np.abs(V)).T)[0]
                           for W, V in (d._coeffs() for d in draws)])
         bound = 2 * (fm.count + model.m_count + 2) * np.finfo(float).eps * scale
         with mock.patch.object(sampling, "_CHUNK_CELLS", per_chunk * fm.count):
@@ -402,7 +405,7 @@ class TestDrawValues:
         grid = build_grid([0.0], [1.0], t=3, lipschitz=2.0, cap=4000)
         seeds = [derive_seed(99, b) for b in range(6)]
         vals = DrawSetup(model, fm, 1.3).values(grid.points, seeds)
-        F = fm.features(grid.points)
+        F = feature_rows(fm, grid.points)
         assert np.array_equal(vals, DrawSetup(model, fm, 1.3).values(grid.points, seeds, F=F))
         pts, idx = select_batch(model, fm, grid, B=6, alpha=1.3, step_seed=99)
         assert np.array_equal(idx, np.argmax(vals, axis=1))
@@ -540,8 +543,11 @@ class TestGrid:
         assert np.array_equal(g.points, g2.points)
 
     def test_spacing_shrinks_with_t(self):
+        # the lattice's largest gap, at most the documented 2 / (L t^2 sqrt(d))
         gs = [build_grid([0.0], [1.0], t=t, lipschitz=1.0, cap=10 ** 6) for t in (1, 2, 4)]
-        assert gs[0].spacing > gs[1].spacing > gs[2].spacing
+        spacing = [np.diff(g.points[:, 0]).max() for g in gs]
+        assert spacing[0] > spacing[1] > spacing[2]
+        assert all(h <= 2.0 / t ** 2 for h, t in zip(spacing, (1, 2, 4)))
         assert gs[0].n_points <= gs[1].n_points <= gs[2].n_points
 
     def test_halton_set_is_made_once_and_read_only(self):
@@ -591,7 +597,7 @@ class TestSelectBatch:
         step_seed = 777
         pts, idx = select_batch(model, fm, grid, B=4, alpha=1.0, step_seed=step_seed)
         pts_f, idx_f = select_batch(model, fm, grid, B=4, alpha=1.0, step_seed=step_seed,
-                                    F=fm.features(grid.points))
+                                    F=feature_rows(fm, grid.points))
         assert np.array_equal(idx, idx_f) and np.array_equal(pts, pts_f)
         for b in range(4):
             s = draw_sample(model, fm, 1.0, seed=derive_seed(step_seed, b))
@@ -600,14 +606,18 @@ class TestSelectBatch:
             assert np.array_equal(pts[b], grid.points[idx[b]])
 
     def test_set_up_runs_once_per_call(self, monkeypatch):
-        # one select_batch call: features at the grid and at Z, one eigh of S,
-        # which the model keeps for every later call
+        # one select_batch call: feature rows at the grid, features at Z, one
+        # eigh of S, which the model keeps for every later call
         rng = np.random.default_rng(13)
         data, model = fitted_points_model(rng)
         fm = mercer_truncate(SE1, 64, [0.0], [1.0])
         grid = build_grid([0.0], [1.0], t=3, lipschitz=2.0, cap=4000)
-        calls = {"features": 0, "eigh": 0}
-        features, eigh = FeatureMap.features, np.linalg.eigh
+        calls = {"rows": 0, "features": 0, "eigh": 0}
+        rows, features, eigh = sampling.feature_rows, FeatureMap.features, np.linalg.eigh
+
+        def counted_rows(fm, X):
+            calls["rows"] += 1
+            return rows(fm, X)
 
         def counted_features(self, X):
             calls["features"] += 1
@@ -617,14 +627,15 @@ class TestSelectBatch:
             calls["eigh"] += 1
             return eigh(a, *args, **kwargs)
 
-        F = fm.features(grid.points)
+        F = feature_rows(fm, grid.points)
+        monkeypatch.setattr(sampling, "feature_rows", counted_rows)
         monkeypatch.setattr(FeatureMap, "features", counted_features)
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         select_batch(model, fm, grid, B=5, alpha=1.0, step_seed=5)
-        assert calls == {"features": 2, "eigh": 1}
-        # given the grid's features, only Phi(Z) is evaluated
+        assert calls == {"rows": 1, "features": 1, "eigh": 1}
+        # given the grid's feature rows, only Phi(Z) is evaluated
         select_batch(model, fm, grid, B=5, alpha=1.0, step_seed=5, F=F)
-        assert calls == {"features": 3, "eigh": 1}
+        assert calls == {"rows": 1, "features": 2, "eigh": 1}
 
     def test_seed_order_permutes_outputs_only(self):
         rng = np.random.default_rng(10)

@@ -41,6 +41,27 @@ def spread_data(rng, n, dim=1, bsz=1, y_scale=1.0):
     return Dataset(X, y, bsz, n // bsz)
 
 
+def assert_collapses_onto_exact(rng, dim, tau=None):
+    """Z = X makes the variational optimum reproduce the exact GP, within 1e-6;
+    the lengthscales keep the gram condition number below ~1e7.  tau defaults
+    to a uniform draw from [0.05, 0.5] taken after the data."""
+    spec = KernelSpec(family="se", dim=dim, lengthscales=(0.14 if dim == 1 else 0.3,) * dim)
+    data = spread_data(rng, 12, dim=dim)
+    if tau is None:
+        tau = float(rng.uniform(0.05, 0.5))
+    model = fit_svgp_closed_form(data, spec, tau, Z=data.X)
+    exact = fit_exact(data, spec, tau)
+    Xq = rng.uniform(0, 1, size=(15, dim))
+    em, ev = exact.predict(Xq)
+    am, av = model.predict(Xq)
+    assert np.abs(am - em).max() < 1e-6
+    assert np.abs(av - ev).max() < 1e-6
+    assert np.abs(model.cov(Xq[:5]) - exact.cov(Xq[:5])).max() < 1e-6
+    assert np.abs(model.cov(Xq[:5], Xq[5:9]) - exact.cov(Xq[:5], Xq[5:9])).max() < 1e-6
+    assert abs(elbo(data, model) - exact.log_marginal()) < 1e-6
+    assert trace_residual(data, model) <= 1e-8
+
+
 def dense_fit_oracle(data, spec, tau, Z):
     """Closed-form optimum through plain dense inverses."""
     P = kernel_matrix(spec, Z)
@@ -71,24 +92,14 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_collapse_onto_exact_posterior(self, seed):
-        # Z = X makes the variational optimum reproduce the exact GP; the
-        # lengthscales keep the gram condition number below ~1e7
-        rng = np.random.default_rng(seed)
-        dim = 1 + seed % 2
-        spec = KernelSpec(family="se", dim=dim, lengthscales=(0.14 if dim == 1 else 0.3,) * dim)
-        data = spread_data(rng, 12, dim=dim)
-        tau = float(rng.uniform(0.05, 0.5))
-        model = fit_svgp_closed_form(data, spec, tau, Z=data.X)
-        exact = fit_exact(data, spec, tau)
-        Xq = rng.uniform(0, 1, size=(15, dim))
-        em, ev = exact.predict(Xq)
-        am, av = model.predict(Xq)
-        assert np.abs(am - em).max() < 1e-6
-        assert np.abs(av - ev).max() < 1e-6
-        assert np.abs(model.cov(Xq[:5]) - exact.cov(Xq[:5])).max() < 1e-6
-        assert np.abs(model.cov(Xq[:5], Xq[5:9]) - exact.cov(Xq[:5], Xq[5:9])).max() < 1e-6
-        assert abs(elbo(data, model) - exact.log_marginal()) < 1e-6
-        assert trace_residual(data, model) <= 1e-8
+        assert_collapses_onto_exact(np.random.default_rng(seed), 1 + seed % 2)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(key=st.integers(min_value=0, max_value=2 ** 32 - 1), dim=st.sampled_from([1, 2]),
+           tau=st.floats(min_value=0.05, max_value=0.5))
+    def test_collapse_onto_exact_posterior_property(self, key, dim, tau):
+        # the seeded instances' family and tolerances, on random data and tau
+        assert_collapses_onto_exact(np.random.default_rng(key), dim, tau)
 
     def test_features_variant_with_full_map_nears_exact(self):
         rng = np.random.default_rng(3)
