@@ -16,14 +16,18 @@ import numpy as np
 from .benchmarks import BENCHMARKS, certify, get_benchmark, random_search
 from .engine import RunConfig, parse_config, regret_bound, resolve_config, run_sgp_ts
 from .errors import InvalidInputError
-from .util import format_float
+from .util import format_float, thread_cap
 from .verify import format_results, run_checks
 
 
 def _pool_size(n_jobs: int) -> int:
-    cap = os.environ.get("SGPTS_THREADS", "")
-    limit = int(cap) if cap.isdigit() and int(cap) > 0 else (os.cpu_count() or 1)
-    return max(1, min(n_jobs, limit))
+    return max(1, min(n_jobs, thread_cap(os.cpu_count() or 1)))
+
+
+def _score_on_one_thread() -> None:
+    """Set-up of a pool worker: the pool already fills the CPUs, so each of its
+    runs scores its grid on its own thread."""
+    os.environ["SGPTS_THREADS"] = "1"
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -51,7 +55,8 @@ def _run_all(cfg: RunConfig, seeds: list[int]):
     workers = _pool_size(len(seeds))
     if workers == 1:
         return [_one_run(cfg, s) for s in seeds]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers,
+                             initializer=_score_on_one_thread) as pool:
         futs = [pool.submit(_one_run, cfg, s) for s in seeds]
         return [f.result() for f in futs]
 

@@ -22,12 +22,13 @@ sqrt(lambda), and for points Phi = Phi(Z).  Per draw: the RNG calls for w and
 u.  Per batch of k draws: u = m + Xi R^T and the prior part
 (sqrt(lambda) w) (alpha Phi)^T as two products, then one solve with k
 right-hand sides; one draw is the batch k = 1.  Per set of evaluation
-points: the basis (F, U), with F the prior features one row per feature
-(M x n, kernels.feature_rows) and U = k(X, Z) (n x m) for points or the
-transpose of F's leading m rows for features.  DrawSetup.values scores a
-chunk of k draws into k rows of the result as
+points: F, the prior features one row per feature (M x n,
+kernels.feature_rows).  Per chunk of points: U_c = k(X_c, Z) (n_c x m) for
+points, or the transpose of F_c's leading m rows for features.
+DrawSetup.values scores a chunk of k draws into k rows of the result, a
+chunk of points c at a time, as
 
-    out = W F;  out *= alpha (when alpha != 1);  out += (U V)^T
+    out_c = W F_c;  out_c *= alpha (when alpha != 1);  out_c += (U_c V)^T
 
 with W = sqrt(lambda) w one row per draw (k x M), V one column per draw
 (m x k), both C-ordered, and W capped at _CHUNK_CELLS cells (up to 8192 draws
@@ -38,6 +39,23 @@ Against the former (n x M) by (M x k) product, values at the 8000 x 512 RFF
 grid keep their bits, while on Mercer maps (M = 128, 256) the prior product
 may move in its last bits; no argmax of the shipped configs' runs moved.
 
+The chunk rule (util.point_shares): n points form n // 4000 chunks
+(util._GRID_CHUNK) of near-equal size, at least one, so every chunk has at
+least 4000 points and a set under 8000 points is one chunk, scored as one
+product as before.  The boundaries depend on n alone.  The calling thread
+and a pool of worker threads, kept for the life of the process, take the
+chunks round-robin: one thread per CPU the process may run on, capped by
+SGPTS_THREADS (cli's multi-seed pool workers score on one thread each).
+Each thread writes only its own chunks' columns, so the values are the same
+bits for every thread count.  The RFF feature rows of a grid are filled in
+the same chunks.  Against one product over the whole set, W F_c and
+k(X_c, Z) keep their bits; U_c V keeps them at the pinned shapes (RFF
+M = 512, B = 20, m = 20 to 100, at 8000 and 40000 points).  Where B m is
+small, OpenBLAS may pick its GEMM kernel by the product's size, and a
+config whose B m is below the pinned ones may see (U_c V) move in its last
+bits against an unchunked product; at chunk widths of 1024 and 2048 that
+happened at m = 20 to 60, which is why a chunk has at least 4000 points.
+
 In a run, the feature rows of the candidate grid are computed once per
 distinct grid (the grid stops changing once it is capped), held as the run's
 only copy and passed to select_batch.  With a
@@ -46,7 +64,7 @@ gathered from the grid features of the steps that queried them, and
 select_batch passes it on.  Phi(Z) is computed only for other inducing
 points: the step-1 Halton set, k-means centers, and every Z under RFF, whose
 X @ freqs^T is a GEMM that need not round a row as it does inside a larger X.
-U and the root of S are rebuilt every step, since Z and S move with the data.
+U_c and the root of S are rebuilt every step, since Z and S move with the data.
 
 Outside a run, draw_sample(...).eval_many(X) builds a fresh DrawSetup and
 basis per call; the model keeps its root, and FeatureMap.features remembers
@@ -70,7 +88,7 @@ from scipy.linalg import cho_solve
 from .errors import InvalidInputError
 from .kernels import FeatureMap, _as_points, _features_at, feature_rows, kernel_matrix
 from .svgp import SvgpModel
-from .util import as_box
+from .util import as_box, point_shares, run_shares
 
 # most cells of W (M x draws) that DrawSetup.values scores in one product: 32 MiB
 _CHUNK_CELLS = 2 ** 22
@@ -141,41 +159,57 @@ class DrawSetup:
     def values(self, X, seeds, *, F: np.ndarray | None = None) -> np.ndarray:
         """Row b: self.draw(np.random.default_rng(seeds[b])) at the rows of X.
 
-        One basis: F, when given, must be feature_rows(fm, X), the features
-        at X one row per feature, shape (M, n); else they are computed.  Per
-        chunk of draws, W capped at _CHUNK_CELLS cells, one call of _draws
-        and one product of the chunk's sqrt(lambda) w rows with F, written
-        into the chunk's rows of the result.  Equals per-draw eval_many up to
-        the summation order of the products and the solve; against the
-        former (n x M) by (M x k) product, values on Mercer maps may move in
-        their last bits.
+        F, when given, must be feature_rows(fm, X), the features at X one row
+        per feature, shape (M, n); else they are computed.  Per chunk of
+        draws, W capped at _CHUNK_CELLS cells: one call of _draws, then
+        _score of its sqrt(lambda) w rows and V at the points.  Equals
+        per-draw eval_many up to the summation order of the products and the
+        solve; against the former (n x M) by (M x k) product, values on
+        Mercer maps may move in their last bits.
         """
         X = _as_points(self.fm.dim, X)
-        F, U = _basis(self.model, self.fm, X, F)
+        if F is None:
+            F = feature_rows(self.fm, X)
+        elif F.shape != (self.fm.count, X.shape[0]):
+            raise InvalidInputError(
+                f"feature rows have shape {F.shape}, expected {(self.fm.count, X.shape[0])}"
+            )
         chunk = max(1, _CHUNK_CELLS // self.fm.count)
         out = np.empty((len(seeds), X.shape[0]))
         for lo in range(0, len(seeds), chunk):
             block = seeds[lo:lo + chunk]
             # the raw w is dropped here, so at most two k x M arrays are alive
             rootlam_w, v = self._draws([np.random.default_rng(s) for s in block])[1:]
-            SampleFunction._on_basis(F, U, self.alpha, rootlam_w, _update_columns(self.model, v),
-                                     out[lo:lo + len(block)])
+            _score(self.model, self.alpha, X, F, rootlam_w, _update_columns(self.model, v),
+                   out[lo:lo + len(block)])
         return out
 
 
-def _basis(model: SvgpModel, fm: FeatureMap, X: np.ndarray,
-           F: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(F, U) at X: the prior features one row per feature, (M, n), computed
-    unless given, and the update basis, (n, m)."""
-    if F is None:
-        F = feature_rows(fm, X)
-    elif F.shape != (fm.count, X.shape[0]):
-        raise InvalidInputError(
-            f"feature rows have shape {F.shape}, expected {(fm.count, X.shape[0])}"
-        )
-    if model.variant == "points":
-        return F, kernel_matrix(model.spec, X, model.Z)
-    return F, F[: model.m_count].T
+def _score(model: SvgpModel, alpha: float, X: np.ndarray, F: np.ndarray, W: np.ndarray,
+           V: np.ndarray, out: np.ndarray) -> None:
+    """Values of k draws at the rows of X into out (k x n), chunk by chunk.
+
+    The chunks and the threads that take them are util.point_shares(n).  Per
+    chunk c: the update basis U_c, k(X_c, Z) for points or the transpose of
+    F_c's leading m rows for features, then _on_basis into the chunk's
+    columns of out.  Each thread writes only its own columns, so the values
+    do not depend on the thread count.
+    """
+    n, points = X.shape[0], model.variant == "points"
+    shares = point_shares(n)
+    # each thread's U_c buffer is made here: made on a worker thread, it would
+    # stay resident in that thread's malloc arena between calls
+    width = max(hi - lo for spans in shares for lo, hi in spans)
+    bufs = [np.empty((width, model.m_count)) if points else None for _ in shares]
+
+    def share(t: int) -> None:
+        for lo, hi in shares[t]:
+            F_c = F[:, lo:hi]
+            U_c = (kernel_matrix(model.spec, X[lo:hi], model.Z, out=bufs[t][: hi - lo])
+                   if points else F_c[: model.m_count].T)
+            SampleFunction._on_basis(F_c, U_c, alpha, W, V, out[:, lo:hi])
+
+    run_shares(share, len(shares))
 
 
 def _update_columns(model: SvgpModel, v: np.ndarray) -> np.ndarray:
@@ -204,8 +238,8 @@ class SampleFunction:
     def _on_basis(F: np.ndarray, U: np.ndarray, alpha: float, W: np.ndarray,
                   V: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Values of k draws into out (k x n), one per row of W (k x M) and
-        column of V (m x k), at the points whose basis _basis returned as (F, U):
-        W F, scaled by alpha, plus (U V)^T."""
+        column of V (m x k), at the points whose prior features are F (M x n)
+        and update basis U (n x m): W F, scaled by alpha, plus (U V)^T."""
         np.matmul(W, F, out=out)
         if alpha != 1.0:
             out *= alpha
@@ -217,8 +251,7 @@ class SampleFunction:
         fm.features(X), so a repeated X is evaluated once per map."""
         X = _as_points(self.fm.dim, X)
         values = np.empty(X.shape[0])
-        basis = _basis(self.model, self.fm, X, self.fm.features(X).T)
-        self._on_basis(*basis, self.alpha, *self._coeffs(), values[None])
+        _score(self.model, self.alpha, X, self.fm.features(X).T, *self._coeffs(), values[None])
         return values
 
 
@@ -336,8 +369,9 @@ def select_batch(
     shape (M, n_points); a caller whose grid repeats across steps passes it
     to skip the re-evaluation.  Phi goes to DrawSetup, which documents it.
     The B draws are scored by DrawSetup.values into a B x n_points values
-    matrix, with one product: its chunk cap holds far more than B draws of
-    any map used here.  The argmax runs along each draw's contiguous row.
+    matrix, in one chunk of draws (its cap holds far more than B draws of
+    any map used here) and the module's chunks of points.  The argmax runs
+    along each draw's contiguous row.
     """
     if B < 1:
         raise InvalidInputError("B must be >= 1")

@@ -15,12 +15,82 @@ The same path always yields the same stream, independent of call order.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 from scipy.linalg import cholesky
 
 from .errors import InvalidInputError, NumericalDegeneracyError
 
 JITTER = 1e-10
+
+
+def thread_cap(default: int) -> int:
+    """SGPTS_THREADS when it holds a positive integer, else default."""
+    cap = os.environ.get("SGPTS_THREADS", "")
+    return int(cap) if cap.isdigit() and int(cap) > 0 else default
+
+
+# fewest points in a chunk of a grid that threads share; below about 4000
+# points OpenBLAS may take another kernel for a draw's U_c V, and its values
+# move in their last bits
+_GRID_CHUNK = 4000
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _grid_threads() -> int:
+    """Threads that work on a grid, the calling one included: _cpus() capped
+    by SGPTS_THREADS, read on every call."""
+    cpus = _cpus()
+    return min(cpus, thread_cap(cpus))
+
+
+def point_shares(n: int) -> list:
+    """The chunks of range(n) as (lo, hi) pairs, dealt to threads: share t
+    holds chunks t, t + T, t + 2T, ...
+
+    There are n // _GRID_CHUNK chunks of near-equal size, at least one, with
+    boundaries that depend on n alone; T = min(chunks, _grid_threads()).
+    """
+    k = max(1, n // _GRID_CHUNK)
+    spans = [(i * n // k, (i + 1) * n // k) for i in range(k)]
+    threads = min(k, _grid_threads()) if k > 1 else 1
+    return [spans[t::threads] for t in range(threads)]
+
+
+def run_shares(fn, count: int) -> None:
+    """fn(t) for every t < count: t = 0 on the calling thread, the rest on the
+    process's pool.  Returns once every call is done, raising the first error."""
+    futures = [_pool.submit(fn, t) for t in range(1, count)]
+    try:
+        fn(0)
+    finally:
+        for f in futures:
+            f.exception()   # waits: no worker may still write after the return
+    for f in futures:
+        f.result()
+
+
+_pool: ThreadPoolExecutor
+
+
+def _renew_pool() -> None:
+    """Make the threads that work beside the calling thread: at import, and
+    in a forked child, which inherits the pool object but none of its
+    threads.  They start on first use and are kept for the life of the
+    process: fresh threads would pay their page faults again."""
+    global _pool
+    _pool = ThreadPoolExecutor(max_workers=max(1, _cpus() - 1), thread_name_prefix="sgpts-grid")
+
+
+_renew_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_renew_pool)
 
 
 def rng_from_path(*path: int) -> np.random.Generator:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process, via main)."""
 
+import json
 import os
 import subprocess
 import sys
@@ -117,6 +118,40 @@ def test_thread_cap_pool_path(tmp_path, monkeypatch):
     monkeypatch.setenv("SGPTS_THREADS", "1")
     assert main(["run", "--config", cfg, "--seeds", "3", "--out", str(solo)]) == 0
     assert (out / "run_seed3.csv").read_bytes() == (solo / "run_seed3.csv").read_bytes()
+
+
+def test_process_pool_after_threaded_scoring():
+    # A run in the parent scores its 8000-point grid on two threads, so the
+    # scoring pool has a live worker when the process pool forks.  The forked
+    # runs must not wait on that pool's threads, must score on their own
+    # thread only, and must log what the parent logged for the same seed.
+    repo = Path(__file__).resolve().parent.parent
+    script = (
+        "import json, sys, threading\n"
+        "from pathlib import Path\n"
+        "from sgpts import cli, util\n"
+        "from sgpts.engine import parse_config\n"
+        "cfg = parse_config(Path('configs/hartmann6.cfg').read_text(),\n"
+        "                   ('grid_cap=8000', 'T=4'))\n"
+        "solo = cli._one_run(cfg, 0)[1].to_csv()\n"
+        "parent_threads = threading.active_count()\n"
+        "one_run = cli._one_run\n"
+        "def counted(cfg, seed):\n"
+        "    seed, log, _ = one_run(cfg, seed)\n"
+        "    return seed, log, (util._grid_threads(), threading.active_count())\n"
+        "cli._one_run = counted\n"
+        "results = cli._run_all(cfg, [0, 1])\n"
+        "json.dump({'parent_threads': parent_threads, 'same': results[0][1].to_csv() == solo,\n"
+        "           'workers': [r[2] for r in results]}, sys.stdout)\n"
+    )
+    env = dict(os.environ, SGPTS_THREADS="2", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=repo, env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    got = json.loads(proc.stdout)
+    assert got["parent_threads"] == min(2, len(os.sched_getaffinity(0)))
+    assert got["same"]
+    assert got["workers"] == [[1, 1], [1, 1]]
 
 
 def test_bound_overlay(tmp_path):

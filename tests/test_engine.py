@@ -772,6 +772,34 @@ class TestRecordedRunLogs:
         assert csvs[0].count("\n") == 15 * 20 + 1
         assert csvs[0] == csvs[1]
 
+    def test_chunked_grid_logs_do_not_depend_on_thread_counts(self):
+        """hartmann6 at grid_cap=8000, T=6 scores its grid as two chunks of 4000
+        points.  Scoring on one thread or two (SGPTS_THREADS) gives the same run
+        and steps CSV bytes, and BLAS at 1 or 2 threads the same run CSV bytes.
+        The steps CSV is not compared across BLAS threads: its gamma_t factors
+        I + K / tau, which rounds with them."""
+        script = (
+            "import json, sys\n"
+            "from pathlib import Path\n"
+            "from sgpts.benchmarks import get_benchmark\n"
+            "from sgpts.engine import parse_config, run_sgp_ts\n"
+            "cfg = parse_config(Path('configs/hartmann6.cfg').read_text(),\n"
+            "                   ('grid_cap=8000', 'T=6'))\n"
+            "log = run_sgp_ts(cfg, get_benchmark(cfg.objective), 0)\n"
+            "json.dump([log.to_csv(), log.steps_to_csv()], sys.stdout)\n"
+        )
+        src = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        logs = {}
+        for blas, scoring in (("1", "1"), ("1", "2"), ("2", "2")):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas,
+                       MKL_NUM_THREADS=blas, SGPTS_THREADS=scoring, PYTHONPATH=src)
+            logs[blas, scoring] = json.loads(subprocess.run(
+                [sys.executable, "-c", script], cwd=REPO, env=env, capture_output=True,
+                text=True, check=True).stdout)
+        assert logs["1", "1"][0].count("\n") == 6 * 20 + 1
+        assert logs["1", "1"] == logs["1", "2"]
+        assert logs["1", "2"][0] == logs["2", "2"][0]
+
     def test_shipped_hartmann6_run_matches_recorded_digest(self):
         """hartmann6.cfg as shipped: 40000 Halton candidates scored in one product per batch."""
         cfg = parse_config((REPO / "configs" / "hartmann6.cfg").read_text())

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgpts import util
 from sgpts.errors import InvalidInputError, UnsupportedDecompositionError
 from sgpts.kernels import (
     _MEMO_SLOTS,
@@ -424,6 +425,15 @@ class TestKernelMatrixBits:
         assert np.array_equal(kernel_matrix(spec, A, B), reference_kernel_matrix(spec, A, B))
         assert np.array_equal(kernel_matrix(spec, A), reference_kernel_matrix(spec, A, A))
 
+    @pytest.mark.parametrize("spec", KERNEL_BIT_SPECS, ids=KERNEL_BIT_IDS)
+    def test_out_receives_the_same_bits(self, spec):
+        rng = np.random.default_rng(7)
+        A = rng.uniform(-1.0, 2.0, size=(40, spec.dim))
+        B = rng.uniform(-1.0, 2.0, size=(23, spec.dim))
+        buf = np.full((40, 23), np.nan)
+        assert kernel_matrix(spec, A, B, out=buf) is buf
+        assert np.array_equal(buf, reference_kernel_matrix(spec, A, B))
+
     @pytest.mark.parametrize("spec", [se(dim=6, ls=0.4), matern(2.5, dim=6, ls=0.7)],
                              ids=["se", "matern"])
     def test_grid_against_inducing_points(self, spec):
@@ -477,6 +487,22 @@ ROW_MAPS = {
     "rff-even": lambda: rff_sample(se(dim=6, ls=0.3, var=0.8), 128, seed=13),
     "rff-odd": lambda: rff_sample(matern(2.5, dim=6, ls=0.4), 129, seed=14),
 }
+
+
+class TestFeatureRowChunks:
+    """Grids of 8000 points or more fill their RFF rows in util.point_shares'
+    chunks, spread over threads; the rows must equal one chunk's bit for bit."""
+
+    @pytest.mark.parametrize("n, count", [(8000, 512), (8000, 129), (40001, 129)])
+    def test_chunks_keep_the_bits(self, monkeypatch, n, count):
+        fm = rff_sample(se(dim=6, ls=0.3), count, seed=2)
+        X = np.random.default_rng(n).uniform(0.0, 1.0, size=(n, 6))
+        monkeypatch.setattr(util, "_GRID_CHUNK", n + 1)
+        whole = feature_rows(fm, X)
+        monkeypatch.undo()
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(util, "_grid_threads", lambda: threads)
+            assert np.array_equal(feature_rows(fm, X), whole)
 
 
 class TestFeatureRowBits:

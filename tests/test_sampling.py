@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 from scipy.stats import qmc
 
-from sgpts import sampling
+from sgpts import sampling, util
 from sgpts.errors import InvalidInputError, NumericalDegeneracyError
 from sgpts.exact_gp import Dataset, fit_exact
 from sgpts.kernels import (
@@ -410,6 +414,110 @@ class TestDrawValues:
         pts, idx = select_batch(model, fm, grid, B=6, alpha=1.3, step_seed=99)
         assert np.array_equal(idx, np.argmax(vals, axis=1))
         assert np.array_equal(pts, grid.points[idx])
+
+
+# Grids of 8000 points or more are scored in chunks of at least 4000 points,
+# spread over threads.  The chunked values must equal one product over the
+# whole grid bit for bit, at every thread count.
+
+SE6 = KernelSpec(family="se", dim=6, lengthscales=(0.2,) * 6)
+RFF6 = rff_sample(SE6, 512, seed=5)
+MERCER1 = mercer_truncate(SE1, 256, [0.0], [1.0])
+
+
+@pytest.fixture(scope="class")
+def chunk_grids():
+    """(points, feature rows) of an RFF grid in 6-d and a Mercer grid in 1-d,
+    by size, built once for the class."""
+    rng = np.random.default_rng(404)
+    grids = {}
+    for n in (8000, 40000):
+        pts = rng.uniform(0.0, 1.0, size=(n, 6))
+        grids["rff", n] = pts, feature_rows(RFF6, pts)
+        pts = rng.uniform(0.0, 1.0, size=(n, 1))
+        grids["mercer", n] = pts, feature_rows(MERCER1, pts)
+    return grids
+
+
+class TestGridChunks:
+    @staticmethod
+    def assert_chunks_keep_the_bits(setup, pts, F, monkeypatch):
+        seeds = [derive_seed(31, b) for b in range(20)]
+        with mock.patch.object(util, "_GRID_CHUNK", pts.shape[0] + 1):
+            whole = setup.values(pts, seeds, F=F)
+        widths, on_basis = [], SampleFunction._on_basis
+
+        def counted(F_c, U_c, alpha, W, V, out):
+            widths.append(F_c.shape[1])
+            return on_basis(F_c, U_c, alpha, W, V, out)
+
+        monkeypatch.setattr(SampleFunction, "_on_basis", staticmethod(counted))
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(util, "_grid_threads", lambda: threads)
+            assert np.array_equal(setup.values(pts, seeds, F=F), whole)
+        assert len(widths) == 3 * (pts.shape[0] // 4000) and min(widths) >= 4000
+
+    @pytest.mark.parametrize("n", [8000, 40000])
+    @pytest.mark.parametrize("m", [20, 60, 100])
+    def test_points_rff(self, chunk_grids, monkeypatch, n, m):
+        rng = np.random.default_rng(m)
+        X = rng.uniform(0.0, 1.0, size=(3 * m, 6))
+        data = Dataset(X, rng.normal(size=3 * m), 1, 3 * m)
+        model = fit_svgp_closed_form(data, SE6, 0.1, Z=X[:m])
+        self.assert_chunks_keep_the_bits(DrawSetup(model, RFF6, 1.5), *chunk_grids["rff", n],
+                                         monkeypatch)
+
+    @pytest.mark.parametrize("n", [8000, 40000])
+    @pytest.mark.parametrize("m", [20, 60, 100])
+    def test_features_mercer(self, chunk_grids, monkeypatch, n, m):
+        _, model = fitted_features_model(np.random.default_rng(m), MERCER1, m=m, n=3 * m)
+        self.assert_chunks_keep_the_bits(DrawSetup(model, MERCER1, 1.5),
+                                         *chunk_grids["mercer", n], monkeypatch)
+
+    def test_tie_across_a_chunk_boundary_goes_to_the_lower_index(self, monkeypatch):
+        # 8000 points are two chunks, split at 4000.  One point, far outside
+        # the others' box and observed at 100 with little noise, sits at
+        # indices 3999 and 4000; every draw peaks there and ties.
+        spec = KernelSpec(family="se", dim=2, lengthscales=(0.05, 0.05))
+        peak = np.array([[1.5, 1.5]])
+        pts = np.random.default_rng(8).uniform(0.0, 1.0, size=(8000, 2))
+        pts[[3999, 4000]] = peak
+        model = fit_svgp_closed_form(Dataset(peak, np.array([100.0]), 1, 1), spec, 1e-4, Z=peak)
+        fm = rff_sample(spec, 256, seed=1)
+        grid = sampling.Discretization(points=pts, capped=True, density_const=1.0)
+        monkeypatch.setattr(util, "_grid_threads", lambda: 2)
+        values = DrawSetup(model, fm, 1.0).values(pts, [derive_seed(3, b) for b in range(8)])
+        assert np.array_equal(values[:, 3999], values[:, 4000])
+        assert np.all(values[:, 3999] > np.delete(values, [3999, 4000], axis=1).max(axis=1))
+        _, idx = select_batch(model, fm, grid, B=8, alpha=1.0, step_seed=3)
+        assert np.array_equal(idx, np.full(8, 3999))
+
+    def test_forked_child_scores_on_its_own_pool(self):
+        # the parent's pool has a worker thread, which a forked child does not
+        # inherit; the child's chunked scoring must not queue work for it
+        script = (
+            "import os, numpy as np\n"
+            "from sgpts.exact_gp import Dataset\n"
+            "from sgpts.kernels import KernelSpec, rff_sample\n"
+            "from sgpts.sampling import DrawSetup\n"
+            "from sgpts.svgp import fit_svgp_closed_form\n"
+            "spec = KernelSpec(family='se', dim=2, lengthscales=(0.3, 0.3))\n"
+            "rng = np.random.default_rng(0)\n"
+            "X, pts = rng.uniform(size=(10, 2)), rng.uniform(size=(8000, 2))\n"
+            "model = fit_svgp_closed_form(Dataset(X, rng.normal(size=10), 1, 10), spec, 0.1, Z=X)\n"
+            "setup = DrawSetup(model, rff_sample(spec, 64, seed=1), 1.0)\n"
+            "want = setup.values(pts, [1, 2])\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    os._exit(0 if np.array_equal(setup.values(pts, [1, 2]), want) else 3)\n"
+            "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, SGPTS_THREADS="2", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True, timeout=60)
+        assert proc.stdout.strip() == "0"
 
 
 class TestRootOfS:

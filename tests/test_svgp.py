@@ -1,12 +1,15 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgpts.exact_gp
+import sgpts.svgp
 import sgpts.util
 from sgpts.errors import (
     ExplorationInfeasibleError,
@@ -100,6 +103,35 @@ class TestClosedForm:
     def test_collapse_onto_exact_posterior_property(self, key, dim, tau):
         # the seeded instances' family and tolerances, on random data and tau
         assert_collapses_onto_exact(np.random.default_rng(key), dim, tau)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(key=st.integers(min_value=0, max_value=2 ** 32 - 1), dim=st.sampled_from([1, 2, 3]),
+           n=st.integers(min_value=4, max_value=30), tau=st.floats(min_value=0.01, max_value=1.0),
+           ls=st.floats(min_value=0.1, max_value=0.4))
+    def test_variance_clamp_never_fires_when_well_conditioned(self, key, dim, n, tau, ls):
+        # noise tau >= 0.01 keeps K + tau I and the fits' P well-conditioned,
+        # so every raw predictive variance, at the inputs as well as between
+        # them, is already >= 0 and the clamp has nothing to do
+        rng = np.random.default_rng(key)
+        spec = KernelSpec(family="se", dim=dim, lengthscales=(ls,) * dim)
+        data = spread_data(rng, n, dim=dim)
+        raw = []
+
+        def spy(var):
+            raw.append(np.array(var))
+            return sgpts.util.clamp_variance(var)
+
+        fm = mercer_truncate(spec, 40, [0.0] * dim, [1.0] * dim)
+        models = [fit_exact(data, spec, tau),
+                  fit_svgp_closed_form(data, spec, tau, Z=data.X[::2]),
+                  fit_svgp_closed_form(data, spec, tau, feature_map=fm, m=min(n, 20))]
+        Xq = np.vstack([data.X, rng.uniform(0.0, 1.0, size=(20, dim))])
+        with mock.patch.object(sgpts.svgp, "clamp_variance", spy), \
+                mock.patch.object(sgpts.exact_gp, "clamp_variance", spy):
+            for model in models:
+                model.predict(Xq)
+        assert len(raw) == len(models)
+        assert all(np.all(var >= 0.0) for var in raw)
 
     def test_features_variant_with_full_map_nears_exact(self):
         rng = np.random.default_rng(3)
