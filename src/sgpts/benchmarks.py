@@ -128,9 +128,6 @@ class Benchmark:
             X = np.clip(X, lo, hi)
         return self.fn(X)
 
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        return self.evaluate(X)
-
 
 @dataclass(frozen=True)
 class NoiseModel:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import util
 from .benchmarks import BENCHMARKS, certify, get_benchmark, random_search
 from .engine import RunConfig, parse_config, regret_bound, resolve_config, run_sgp_ts
 from .errors import InvalidInputError
@@ -21,7 +22,9 @@ from .verify import format_results, run_checks
 
 
 def _pool_size(n_jobs: int) -> int:
-    return max(1, min(n_jobs, thread_cap(os.cpu_count() or 1)))
+    """Workers for n_jobs runs: SGPTS_THREADS, else the CPUs this process may
+    run on, as the grid threads count them."""
+    return max(1, min(n_jobs, thread_cap(util._cpus())))
 
 
 def _score_on_one_thread() -> None:

@@ -195,9 +195,10 @@ def information_gain(data: Dataset, spec: KernelSpec, tau: float) -> float:
 
 
 def information_gain_points(X: np.ndarray, spec: KernelSpec, tau: float) -> float:
+    """(1/2) log det(I + K / tau) at the points X, read as kernel_matrix reads them."""
     if tau <= 0:
         raise InvalidInputError("tau must be positive")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = _as_points(spec.dim, X)
     if X.shape[0] == 0:
         return 0.0
     K = kernel_matrix(spec, X)

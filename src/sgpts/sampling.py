@@ -33,11 +33,10 @@ chunk of points c at a time, as
 with W = sqrt(lambda) w one row per draw (k x M), V one column per draw
 (m x k), both C-ordered, and W capped at _CHUNK_CELLS cells (up to 8192 draws
 on an M <= 512 map is one product); each draw's values, and select_batch's
-argmax over them, lie along a contiguous row.  eval_many is the same
-evaluator at k = 1 on the transpose of fm.features(X), which keeps the memo.
-Against the former (n x M) by (M x k) product, values at the 8000 x 512 RFF
-grid keep their bits, while on Mercer maps (M = 128, 256) the prior product
-may move in its last bits; no argmax of the shipped configs' runs moved.
+argmax over them, lie along a contiguous row.  Against the former (n x M)
+by (M x k) product, values at the 8000 x 512 RFF grid keep their bits, while
+on Mercer maps (M = 128, 256) the prior product may move in its last bits; no
+argmax of the shipped configs' runs moved.
 
 The chunk rule (util.point_shares): n points form n // 4000 chunks
 (util._GRID_CHUNK) of near-equal size, at least one, so every chunk has at
@@ -66,10 +65,11 @@ points: the step-1 Halton set, k-means centers, and every Z under RFF, whose
 X @ freqs^T is a GEMM that need not round a row as it does inside a larger X.
 U_c and the root of S are rebuilt every step, since Z and S move with the data.
 
-Outside a run, draw_sample(...).eval_many(X) builds a fresh DrawSetup and
-basis per call; the model keeps its root, and FeatureMap.features remembers
-an input from its second request on, so the draws of one model share Phi(Z)
-and the features at a repeated X.
+Outside a run, draw_sample(model, fm, alpha, seed) is that seed on a fresh
+DrawSetup, and its eval_many(X) is row 0 of the set-up's values at X, with
+F the transpose of fm.features(X).  The model keeps its root, and
+FeatureMap.features remembers an input from its second request on, so the
+draws of one model share Phi(Z) and the features at a repeated X.
 
 Seed scheme: step seed = hash(run_seed, t), draw seed = hash(step_seed, b),
 with hash = the first output word of numpy's SeedSequence over the integer
@@ -105,12 +105,12 @@ def derive_seed(*path: int) -> int:
 class DrawSetup:
     """Seed-independent part of every draw from one (model, feature map, alpha).
 
-    Build it once and call draw(rng) for each draw, or values for many seeded
-    draws: a draw then costs its RNG calls and its share of the products and
-    the solve that turn a batch of draws' normals into coefficients.  The
-    root of S comes from the model, which computes it on its first draw.
-    Phi, when given, must be fm.features(model.Z) of a points model, shape
-    (m, M); a caller that holds it skips the evaluation.
+    Build it once and call values for many seeded draws: a draw then costs
+    its RNG calls and its share of the products and the solve that turn a
+    batch of draws' normals into coefficients.  The root of S comes from the
+    model, which computes it on its first draw.  Phi, when given, must be
+    fm.features(model.Z) of a points model, shape (m, M); a caller that holds
+    it skips the evaluation.
     """
 
     def __init__(self, model: SvgpModel, fm: FeatureMap, alpha: float, *,
@@ -130,18 +130,18 @@ class DrawSetup:
         self.rootlam = np.sqrt(fm.lambdas)
         self.Phi = _features_at(fm, model.Z, Phi) if model.variant == "points" else None
 
-    def _draws(self, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One draw per generator, as rows: w (k x M), sqrt(lambda) w and v (k x m).
+    def _draws(self, rngs) -> tuple[np.ndarray, np.ndarray]:
+        """One draw per generator, as rows: sqrt(lambda) w (k x M) and v (k x m).
         Each generator is consumed in the order w then u."""
         model, alpha, m = self.model, self.alpha, self.model.m_count
-        w = np.empty((len(rngs), self.fm.count))
+        rootlam_w = np.empty((len(rngs), self.fm.count))
         xi = np.empty((len(rngs), m))
         for j, rng in enumerate(rngs):
-            w[j] = rng.standard_normal(self.fm.count)
+            rootlam_w[j] = rng.standard_normal(self.fm.count)
             xi[j] = rng.standard_normal(m)
+        rootlam_w *= self.rootlam
         u = model.m_vec + xi @ model._s_root().T
         centered = alpha * (u - model.m_vec) + model.m_vec
-        rootlam_w = self.rootlam * w
         if model.variant == "points":
             # alpha scales Phi, as in the single-draw alpha * Phi @ rootlam_w: a
             # draw of its own (k = 1) keeps that product's bits for every alpha
@@ -149,23 +149,17 @@ class DrawSetup:
             v = cho_solve((model._chol_P, True), rhs.T).T
         else:
             v = (centered - alpha * rootlam_w[:, :m]) / model.feature_map.lambdas[:m]
-        return w, rootlam_w, v
-
-    def draw(self, rng: np.random.Generator) -> SampleFunction:
-        """One draw; rng consumed in the order w then u."""
-        w, _, v = self._draws([rng])
-        return SampleFunction(model=self.model, fm=self.fm, alpha=self.alpha, w=w[0], v=v[0])
+        return rootlam_w, v
 
     def values(self, X, seeds, *, F: np.ndarray | None = None) -> np.ndarray:
-        """Row b: self.draw(np.random.default_rng(seeds[b])) at the rows of X.
+        """Row b: the draw of generator np.random.default_rng(seeds[b]) at the rows of X.
 
         F, when given, must be feature_rows(fm, X), the features at X one row
         per feature, shape (M, n); else they are computed.  Per chunk of
         draws, W capped at _CHUNK_CELLS cells: one call of _draws, then
-        _score of its sqrt(lambda) w rows and V at the points.  Equals
-        per-draw eval_many up to the summation order of the products and the
-        solve; against the former (n x M) by (M x k) product, values on
-        Mercer maps may move in their last bits.
+        _score of its sqrt(lambda) w rows and V at the points.  A chunk of
+        k > 1 draws equals k chunks of one up to the summation order of the
+        products and the solve.
         """
         X = _as_points(self.fm.dim, X)
         if F is None:
@@ -174,13 +168,17 @@ class DrawSetup:
             raise InvalidInputError(
                 f"feature rows have shape {F.shape}, expected {(self.fm.count, X.shape[0])}"
             )
+        model = self.model
         chunk = max(1, _CHUNK_CELLS // self.fm.count)
         out = np.empty((len(seeds), X.shape[0]))
         for lo in range(0, len(seeds), chunk):
             block = seeds[lo:lo + chunk]
-            # the raw w is dropped here, so at most two k x M arrays are alive
-            rootlam_w, v = self._draws([np.random.default_rng(s) for s in block])[1:]
-            _score(self.model, self.alpha, X, F, rootlam_w, _update_columns(self.model, v),
+            W, v = self._draws([np.random.default_rng(s) for s in block])
+            if model.variant == "features":
+                v = model.feature_map.lambdas[: model.m_count] * v
+            # V one column per draw, C-ordered: BLAS may sum a Fortran-ordered
+            # operand differently
+            _score(model, self.alpha, X, F, W, np.ascontiguousarray(v.T),
                    out[lo:lo + len(block)])
         return out
 
@@ -207,64 +205,46 @@ def _score(model: SvgpModel, alpha: float, X: np.ndarray, F: np.ndarray, W: np.n
             F_c = F[:, lo:hi]
             U_c = (kernel_matrix(model.spec, X[lo:hi], model.Z, out=bufs[t][: hi - lo])
                    if points else F_c[: model.m_count].T)
-            SampleFunction._on_basis(F_c, U_c, alpha, W, V, out[:, lo:hi])
+            _on_basis(F_c, U_c, alpha, W, V, out[:, lo:hi])
 
     run_shares(share, len(shares))
 
 
-def _update_columns(model: SvgpModel, v: np.ndarray) -> np.ndarray:
-    """V, the weights of U with one column per draw (m x k), C-ordered: BLAS
-    may sum a Fortran-ordered operand differently."""
-    if model.variant == "features":
-        v = model.feature_map.lambdas[: model.m_count] * v
-    return np.ascontiguousarray(v.T)
+def _on_basis(F: np.ndarray, U: np.ndarray, alpha: float, W: np.ndarray, V: np.ndarray,
+              out: np.ndarray) -> None:
+    """Values of k draws into out (k x n), one per row of W (k x M) and column
+    of V (m x k), at the points whose prior features are F (M x n) and update
+    basis U (n x m): W F, scaled by alpha, plus (U V)^T."""
+    np.matmul(W, F, out=out)
+    if alpha != 1.0:
+        out *= alpha
+    out += (U @ V).T
 
 
 @dataclass(frozen=True)
 class SampleFunction:
-    """A single posterior draw; evaluation is pure and deterministic."""
+    """One posterior draw: the draw of seed in setup.values."""
 
-    model: SvgpModel
-    fm: FeatureMap
-    alpha: float
-    w: np.ndarray
-    v: np.ndarray
-
-    def _coeffs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(W, V): this draw's weights of F as a row (1 x M) and of U as a column (m x 1)."""
-        return np.sqrt(self.fm.lambdas) * self.w[None], _update_columns(self.model, self.v[None])
-
-    @staticmethod
-    def _on_basis(F: np.ndarray, U: np.ndarray, alpha: float, W: np.ndarray,
-                  V: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Values of k draws into out (k x n), one per row of W (k x M) and
-        column of V (m x k), at the points whose prior features are F (M x n)
-        and update basis U (n x m): W F, scaled by alpha, plus (U V)^T."""
-        np.matmul(W, F, out=out)
-        if alpha != 1.0:
-            out *= alpha
-        out += (U @ V).T
-        return out
+    setup: DrawSetup
+    seed: int
 
     def eval_many(self, X) -> np.ndarray:
-        """This draw's values at the rows of X; the features come from
-        fm.features(X), so a repeated X is evaluated once per map."""
-        X = _as_points(self.fm.dim, X)
-        values = np.empty(X.shape[0])
-        _score(self.model, self.alpha, X, self.fm.features(X).T, *self._coeffs(), values[None])
-        return values
+        """This draw's values at the rows of X, an array of its own: row 0 of
+        setup.values on the transpose of fm.features(X), whose memo evaluates a
+        repeated X once per map."""
+        return self.setup.values(X, [self.seed], F=self.setup.fm.features(X).T)[0].copy()
 
 
 def draw_sample(model: SvgpModel, fm: FeatureMap, alpha: float, seed: int) -> SampleFunction:
-    """One decoupled draw; fresh u and w every call, keyed by the seed.
+    """One decoupled draw, keyed by the seed: the seed on a fresh DrawSetup.
 
-    Builds a DrawSetup per call and draws once from it, the batch k = 1:
-    the root of S comes from the model after its first draw, and Phi(Z)
-    from the feature map's memo after the first two calls.  To draw many
-    times from one model, build a DrawSetup once and call its draw, which
-    gives the same draw for the same seed, or its values.
+    The set-up's checks run here; each eval_many makes the draw's random
+    numbers afresh.  The root of S comes from the model after its first
+    draw, and Phi(Z) from the feature map's memo after the first two calls.
+    To draw many times from one model, build a DrawSetup once and call its
+    values, which gives the same values for the same seed.
     """
-    return DrawSetup(model, fm, alpha).draw(np.random.default_rng(seed))
+    return SampleFunction(DrawSetup(model, fm, alpha), seed)
 
 
 def decoupled_mean_cov(

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgpts import verify
+from sgpts import cli, util, verify
 from sgpts.cli import main
 
 TINY = """\
@@ -118,6 +118,18 @@ def test_thread_cap_pool_path(tmp_path, monkeypatch):
     monkeypatch.setenv("SGPTS_THREADS", "1")
     assert main(["run", "--config", cfg, "--seeds", "3", "--out", str(solo)]) == 0
     assert (out / "run_seed3.csv").read_bytes() == (solo / "run_seed3.csv").read_bytes()
+
+
+def test_pool_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    # under an affinity mask of one CPU the seeds run one after another, as
+    # the grid is scored on one thread; SGPTS_THREADS still sets the count
+    monkeypatch.delenv("SGPTS_THREADS", raising=False)
+    monkeypatch.setattr(util, "_cpus", lambda: 1)
+    assert cli._pool_size(4) == 1 and util._grid_threads() == 1
+    monkeypatch.setattr(util, "_cpus", lambda: 3)
+    assert cli._pool_size(4) == 3 and cli._pool_size(2) == 2
+    monkeypatch.setenv("SGPTS_THREADS", "2")
+    assert cli._pool_size(4) == 2
 
 
 def test_process_pool_after_threaded_scoring():

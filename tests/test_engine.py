@@ -570,6 +570,24 @@ class TestRunLoop:
         assert all(b >= a - 1e-12 for a, b in zip(cums, cums[1:]))
         assert all(r.simple_regret >= -1e-9 for r in log.rows)
 
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(objective=st.sampled_from(["multimodal1d", "multimodal2d"]),
+           variant=st.sampled_from(["points", "features"]),
+           T=st.integers(1, 3), B=st.integers(1, 3),
+           alpha=st.floats(1.0, 4.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_regret_never_decreases_property(self, objective, variant, T, B, alpha, seed):
+        # small fixed-alpha runs of both variants: the logged cumulative regret
+        # falls by at most the 1e-12 that RunLog.add_row allows, and no queried
+        # value beats the certified optimum by more than 1e-9
+        cfg = RunConfig(objective=objective, T=T, B=B, variant=variant, lengthscale=(0.15,),
+                        m=8, M=64, alpha=alpha, grid_cap=400)
+        log = run_sgp_ts(cfg, get_benchmark(objective), seed=seed)
+        assert len(log.rows) == T * B and not log.aborted
+        cums = [r.cum_regret for r in log.rows]
+        assert all(b >= a - 1e-12 for a, b in zip(cums, cums[1:]))
+        assert all(r.simple_regret >= -1e-9 for r in log.rows)
+
     def test_batch_sigma_lemma_on_recorded_runs(self):
         bench = get_benchmark("multimodal1d")
         for seed in (0, 1):

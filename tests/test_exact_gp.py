@@ -14,6 +14,7 @@ from sgpts.exact_gp import (
     fit_exact,
     gamma_bound,
     information_gain,
+    information_gain_points,
 )
 from sgpts.kernels import KernelSpec, kernel_matrix
 
@@ -172,6 +173,21 @@ class TestInformationGain:
     def test_empty_is_zero(self):
         spec = KernelSpec(family="se", dim=1, lengthscales=(0.5,))
         assert information_gain(Dataset.empty(1, 1), spec, 0.1) == 0.0
+
+    def test_flat_points_read_as_kernel_matrix_reads_them(self):
+        # a flat array of 1-d points, and one 2-d point given flat
+        se1 = KernelSpec(family="se", dim=1, lengthscales=(0.5,))
+        se2 = KernelSpec(family="se", dim=2, lengthscales=(0.5, 0.8))
+        for spec, flat in ((se1, np.array([0.1, 0.5])), (se1, [0.3]), (se2, [0.1, 0.5])):
+            col = np.reshape(flat, (-1, spec.dim))
+            assert kernel_matrix(spec, flat).shape == (col.shape[0],) * 2
+            got = information_gain_points(flat, spec, 0.1)
+            assert got == information_gain_points(col, spec, 0.1)
+            K = kernel_matrix(spec, col)
+            want = 0.5 * np.linalg.slogdet(np.eye(K.shape[0]) + K / 0.1)[1]
+            assert np.isclose(got, want, atol=1e-12)
+        with pytest.raises(InvalidInputError, match="tau"):
+            information_gain_points(np.array([[np.nan]]), se1, 0.0)
 
     def test_monotone_in_data(self):
         rng = np.random.default_rng(9)

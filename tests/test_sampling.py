@@ -26,7 +26,7 @@ from sgpts.kernels import (
 )
 from sgpts.sampling import (
     DrawSetup,
-    SampleFunction,
+    _on_basis,
     _unit_halton,
     build_grid,
     decoupled_mean_cov,
@@ -121,15 +121,21 @@ class TestMeanInvariance:
         rng = np.random.default_rng(0)
         model, fm = fitted_case(case, rng)
         probes = np.linspace(0, 1, 17).reshape(-1, 1)
-        # v = P^{-1} m for points, Lambda_m^{-1} m for features
+        # v = P^{-1} m for points, Lambda_m^{-1} m for features, scored as the
+        # weights V of U: v itself for U = k(X, Z), Lambda_m v for U = Phi_m(X)
         if model.variant == "points":
-            v = np.linalg.solve(model._chol_P @ model._chol_P.T, model.m_vec)
+            V = np.linalg.solve(model._chol_P @ model._chol_P.T, model.m_vec)
+            U = kernel_matrix(SE1, probes, model.Z)
         else:
-            v = model.m_vec / model.feature_map.lambdas[: model.m_count]
+            lam = model.feature_map.lambdas[: model.m_count]
+            V = lam * (model.m_vec / lam)
+            U = fm.features(probes)[:, : model.m_count]
         want = model.predict(probes)[0]
+        quiet = np.empty((1, probes.shape[0]))
         for alpha in (1.0, 2.7):
-            quiet = SampleFunction(model=model, fm=fm, alpha=alpha, w=np.zeros(fm.count), v=v)
-            assert np.abs(quiet.eval_many(probes) - want).max() < 1e-8
+            _on_basis(feature_rows(fm, probes), U, alpha, np.zeros((1, fm.count)), V[:, None],
+                      quiet)
+            assert np.abs(quiet[0] - want).max() < 1e-8
 
     @pytest.mark.parametrize("case", VARIANT_CASES)
     @settings(derandomize=True, deadline=None)
@@ -142,8 +148,10 @@ class TestMeanInvariance:
 
         model, fm = fitted_case(case, np.random.default_rng(0))
         probes = np.linspace(0, 1, 17).reshape(-1, 1)
-        quiet = DrawSetup(model, fm, alpha).draw(Zeros())
-        assert np.abs(quiet.eval_many(probes) - model.predict(probes)[0]).max() < 1e-8
+        setup = DrawSetup(model, fm, alpha)
+        with mock.patch.object(np.random, "default_rng", lambda seed: Zeros()):
+            quiet = setup.values(probes, [0])[0]
+        assert np.abs(quiet - model.predict(probes)[0]).max() < 1e-8
 
     def test_monte_carlo_mean_matches_for_alpha_2(self):
         rng = np.random.default_rng(1)
@@ -283,15 +291,11 @@ class TestDeterminism:
             setup = DrawSetup(model, fm, alpha)
             for b in range(5):
                 seed = derive_seed(1001, b)
-                got = setup.draw(np.random.default_rng(seed))
-                want = draw_sample(model, fm, alpha, seed)
-                assert np.array_equal(got.w, want.w) and np.array_equal(got.v, want.v)
-                vals = got.eval_many(X)
-                assert np.array_equal(vals, want.eval_many(X))
-                # the one-column evaluator keeps the bits of the per-draw matvecs
-                v = got.v if model.variant == "points" else \
-                    model.feature_map.lambdas[: model.m_count] * got.v
-                assert np.array_equal(vals, alpha * (F @ (np.sqrt(fm.lambdas) * got.w)) + U @ v)
+                vals = draw_sample(model, fm, alpha, seed).eval_many(X)
+                assert np.array_equal(vals, setup.values(X, [seed], F=F.T)[0])
+                # the one-row evaluator keeps the bits of the per-draw matvecs
+                W, V, _ = per_draw_coeffs(setup, seed)
+                assert np.array_equal(vals, alpha * (F @ W) + U @ V)
 
     def test_derive_seed_is_stable(self):
         assert derive_seed(123, 4) == derive_seed(123, 4)
@@ -320,24 +324,22 @@ class TestDrawValues:
         alpha = 1.7
         setup = DrawSetup(model, fm, alpha)
         seeds = [derive_seed(2024, b) for b in range(n_draws)]
-        draws = [setup.draw(np.random.default_rng(seed)) for seed in seeds]
-        want = np.stack([d.eval_many(X) for d in draws])
+        want = np.stack([draw_sample(model, fm, alpha, seed).eval_many(X) for seed in seeds])
         F = fm.features(X)
         U = kernel_matrix(SE1, X, model.Z) if model.variant == "points" else F[:, : model.m_count]
-        scale = np.stack([(alpha * np.abs(W) @ np.abs(F).T + (np.abs(U) @ np.abs(V)).T)[0]
-                          for W, V in (d._coeffs() for d in draws)])
+        scale = np.stack([alpha * np.abs(F) @ np.abs(W) + np.abs(U) @ np.abs(V)
+                          for W, V, _ in (per_draw_coeffs(setup, seed) for seed in seeds)])
         bound = 2 * (fm.count + model.m_count + 2) * np.finfo(float).eps * scale
 
         # three draws a chunk: chunks of 3, 3 and a ragged 1 for seven draws
         monkeypatch.setattr(sampling, "_CHUNK_CELLS", 3 * fm.count)
         widths = []
-        on_basis = SampleFunction._on_basis
 
         def counted(F, U, alpha, W, V, out):
             widths.append(W.shape[0])
-            return on_basis(F, U, alpha, W, V, out)
+            _on_basis(F, U, alpha, W, V, out)
 
-        monkeypatch.setattr(SampleFunction, "_on_basis", staticmethod(counted))
+        monkeypatch.setattr(sampling, "_on_basis", counted)
         got = setup.values(X, seeds)
         assert widths == ([1] if n_draws == 1 else [3, 3, 1])
         assert got.shape == (n_draws, X.shape[0])
@@ -353,20 +355,22 @@ class TestDrawValues:
         seeds = [derive_seed(77, b) for b in range(7)]
         monkeypatch.setattr(sampling, "_CHUNK_CELLS", 3 * fm.count)
         blocks = []
-        on_basis = SampleFunction._on_basis
 
         def kept(F, U, alpha, W, V, out):
             blocks.append((W, V))
-            return on_basis(F, U, alpha, W, V, out)
+            _on_basis(F, U, alpha, W, V, out)
 
-        monkeypatch.setattr(SampleFunction, "_on_basis", staticmethod(kept))
-        setup.values(np.linspace(0.0, 1.0, 5).reshape(-1, 1), seeds)
+        monkeypatch.setattr(sampling, "_on_basis", kept)
+        X = np.linspace(0.0, 1.0, 5).reshape(-1, 1)
+        setup.values(X, seeds)
         assert [W.shape[0] for W, _ in blocks] == [3, 3, 1]
         assert all(W.flags.c_contiguous and V.flags.c_contiguous for W, V in blocks)
         W, V = np.vstack([W for W, _ in blocks]), np.hstack([V for _, V in blocks])
         for b, seed in enumerate(seeds):
             want_W, want_V, bound = per_draw_coeffs(setup, seed)
-            one_W, one_V = setup.draw(np.random.default_rng(seed))._coeffs()
+            blocks.clear()
+            setup.values(X, [seed])
+            (one_W, one_V), = blocks
             assert np.array_equal(W[b], want_W) and np.array_equal(one_W[0], want_W)
             assert np.all(np.abs(V[:, b] - want_V) <= bound)
             # a draw of its own takes the same products and solve as the reference
@@ -385,15 +389,14 @@ class TestDrawValues:
         X = np.linspace(-0.1, 1.1, 13).reshape(-1, 1)
         setup = DrawSetup(model, fm, alpha)
         seeds = [derive_seed(key, b) for b in range(n_draws)]
-        draws = [setup.draw(np.random.default_rng(seed)) for seed in seeds]
         F = fm.features(X)
         U = kernel_matrix(SE1, X, model.Z) if model.variant == "points" else F[:, : model.m_count]
-        scale = np.stack([(alpha * np.abs(W) @ np.abs(F).T + (np.abs(U) @ np.abs(V)).T)[0]
-                          for W, V in (d._coeffs() for d in draws)])
+        scale = np.stack([alpha * np.abs(F) @ np.abs(W) + np.abs(U) @ np.abs(V)
+                          for W, V, _ in (per_draw_coeffs(setup, seed) for seed in seeds)])
         bound = 2 * (fm.count + model.m_count + 2) * np.finfo(float).eps * scale
         with mock.patch.object(sampling, "_CHUNK_CELLS", per_chunk * fm.count):
             got = setup.values(X, seeds)
-        want = np.stack([d.eval_many(X) for d in draws])
+        want = np.stack([draw_sample(model, fm, alpha, seed).eval_many(X) for seed in seeds])
         assert np.all(np.abs(got - want) <= bound)
 
     @pytest.mark.parametrize("case", VARIANT_CASES)
@@ -445,13 +448,13 @@ class TestGridChunks:
         seeds = [derive_seed(31, b) for b in range(20)]
         with mock.patch.object(util, "_GRID_CHUNK", pts.shape[0] + 1):
             whole = setup.values(pts, seeds, F=F)
-        widths, on_basis = [], SampleFunction._on_basis
+        widths = []
 
         def counted(F_c, U_c, alpha, W, V, out):
             widths.append(F_c.shape[1])
-            return on_basis(F_c, U_c, alpha, W, V, out)
+            _on_basis(F_c, U_c, alpha, W, V, out)
 
-        monkeypatch.setattr(SampleFunction, "_on_basis", staticmethod(counted))
+        monkeypatch.setattr(sampling, "_on_basis", counted)
         for threads in (1, 2, 3):
             monkeypatch.setattr(util, "_grid_threads", lambda: threads)
             assert np.array_equal(setup.values(pts, seeds, F=F), whole)
@@ -556,7 +559,7 @@ class TestRootOfS:
         prior = SvgpModel(spec=SE1, tau=0.2, Z=data.X)
         snapshot = write_snapshot(model)
         for drawn in (prior, model):
-            draw_sample(drawn, fm, 1.0, seed=0)
+            draw_sample(drawn, fm, 1.0, seed=0).eval_many([[0.3]])
         assert np.array_equal(prior._s_root(), self.own_root(prior))
         assert write_snapshot(model) == snapshot
         # the fit's replace of a drawn-from prior, an edited fitted model, a snapshot
@@ -569,7 +572,7 @@ class TestRootOfS:
         calls = self.counted_eigh(monkeypatch)
         for r, root in zip(rebuilt, want):
             assert r._S_root is None
-            draw_sample(r, fm, 1.0, seed=0)
+            draw_sample(r, fm, 1.0, seed=0).eval_many([[0.3]])
             assert calls[-1] is r.S_mat and np.array_equal(r._s_root(), root)
         assert len(calls) == 3
         assert not np.array_equal(edited._s_root(), model._s_root())
