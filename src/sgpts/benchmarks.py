@@ -7,7 +7,6 @@ optimizer core never needs to know the sign convention of the source function.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -113,7 +112,7 @@ class Benchmark:
     noise_var: float
     lipschitz: float
 
-    def evaluate(self, X: np.ndarray, strict: bool = True) -> np.ndarray:
+    def evaluate(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.dim:
             raise InvalidInputError(
@@ -122,10 +121,7 @@ class Benchmark:
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
         if np.any(X < lo - 1e-12) or np.any(X > hi + 1e-12):
-            if strict:
-                raise InvalidInputError(f"point outside the domain of {self.name}")
-            warnings.warn(f"clamping out-of-domain points for {self.name}")
-            X = np.clip(X, lo, hi)
+            raise InvalidInputError(f"point outside the domain of {self.name}")
         return self.fn(X)
 
 

@@ -17,14 +17,14 @@ from . import util
 from .benchmarks import BENCHMARKS, certify, get_benchmark, random_search
 from .engine import RunConfig, parse_config, regret_bound, resolve_config, run_sgp_ts
 from .errors import InvalidInputError
-from .util import format_float, thread_cap
+from .util import format_float
 from .verify import format_results, run_checks
 
 
 def _pool_size(n_jobs: int) -> int:
-    """Workers for n_jobs runs: SGPTS_THREADS, else the CPUs this process may
-    run on, as the grid threads count them."""
-    return max(1, min(n_jobs, thread_cap(util._cpus())))
+    """Workers for n_jobs runs: as many as the threads that would score a
+    grid, the CPUs this process may run on capped by SGPTS_THREADS."""
+    return max(1, min(n_jobs, util._grid_threads()))
 
 
 def _score_on_one_thread() -> None:

@@ -28,7 +28,6 @@ from .kernels import (
     FeatureMap,
     KernelSpec,
     _as_points,
-    feature_rows,
     mercer_truncate,
     rff_sample,
     tail_mass,
@@ -441,7 +440,7 @@ def _fit_step_model(data: Dataset, spec: KernelSpec, cfg: RunConfig, bench: Benc
     elif cfg.inducing == "greedy":
         picks = select_inducing_greedy(data, spec, min(m_t, data.n), stop_early=True)
         Z = data.X[picks]
-        Phi = None if F_obs is None else F_obs[picks]
+        Phi = None if F_obs is None else F_obs[:, picks]
     else:
         n_distinct = np.unique(data.X, axis=0).shape[0]
         Z = select_inducing_kmeans(data, min(m_t, n_distinct),
@@ -473,14 +472,14 @@ def run_sgp_ts(cfg: RunConfig, bench: Benchmark, seed: int) -> RunLog:
                                    seed, 0)
     c1_run = 1.0
     cum = 0.0
-    # the last grid and its feature rows (M x n_points), reused while it repeats
+    # the last grid and its features, reused while it repeats
     grid_pts = grid_F = None
-    # one feature row per observation, copied from grid_F's columns: every
+    # one feature column per observation, copied from grid_F's columns: every
     # queried point is a grid point, and a Mercer feature is elementwise in x,
-    # so grid_F[:, idx].T equals fm.features(grid.points[idx]) bit for bit.  RFF
+    # so grid_F[:, idx] equals fm.features(grid.points[idx]) bit for bit.  RFF
     # features come from the GEMM X @ freqs^T, which need not round a row the
     # same alone.
-    F_data = np.empty((cfg.T * cfg.B, fm.count)) if fm.kind == "mercer" else None
+    F_data = np.empty((fm.count, cfg.T * cfg.B)) if fm.kind == "mercer" else None
     for t in range(1, cfg.T + 1):
         grid = build_grid(bench.lo, bench.hi, t, cfg.lipschitz, cfg.grid_cap)
         if cfg.gamma_mode == "realized":
@@ -507,15 +506,15 @@ def run_sgp_ts(cfg: RunConfig, bench: Benchmark, seed: int) -> RunLog:
         alpha_t, b_t, beta_t = schedule_alpha(t, grid.n_points, cfg, gamma_t, quality)
         step_seed = derive_seed(seed, t)
         if not np.array_equal(grid.points, grid_pts):
-            grid_pts, grid_F = grid.points, feature_rows(fm, grid.points)
+            grid_pts, grid_F = grid.points, fm.features(grid.points)
         X_batch, idx = select_batch(model, fm, grid, cfg.B, alpha_t, step_seed,
                                     F=grid_F, Phi=Phi_Z)
         f_true = bench.evaluate(X_batch)
         y = f_true + noise.draw(rng_from_path(seed, t, _NOISE_TAG), cfg.B)
         if F_data is not None:
-            F_data[data.n:data.n + cfg.B] = grid_F[:, idx].T
+            F_data[:, data.n:data.n + cfg.B] = grid_F[:, idx]
         data = data.append_batch(X_batch, y)
-        F_obs = None if F_data is None else F_data[:data.n]
+        F_obs = None if F_data is None else F_data[:, :data.n]
         m_logged = model.m_count
         model, Phi_Z = _fit_step_model(data, spec, cfg, bench, fm,
                                        _schedule_m(cfg, bench.dim, min(t + 1, cfg.T)),

@@ -14,8 +14,6 @@ audit that regret certificates rest on.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -88,40 +86,6 @@ class Dataset:
         k = t * self.batch_size
         return Dataset(self.X[:k], self.y[:k], self.batch_size, t)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["s", "b"] + [f"x_{i + 1}" for i in range(self.dim)] + ["y"])
-        for i in range(self.n):
-            s, b = divmod(i, self.batch_size)
-            w.writerow(
-                [s + 1, b + 1] + [repr(float(v)) for v in self.X[i]] + [repr(float(self.y[i]))]
-            )
-        return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str) -> "Dataset":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0][:2] != ["s", "b"] or rows[0][-1] != "y":
-            raise InvalidInputError("dataset CSV must have header s,b,x_1..x_d,y")
-        dim = len(rows[0]) - 3
-        if dim < 1:
-            raise InvalidInputError("dataset CSV has no coordinate columns")
-        data = rows[1:]
-        if not data:
-            raise InvalidInputError("dataset CSV has no rows")
-        try:
-            X = np.array([[float(v) for v in r[2 : 2 + dim]] for r in data])
-            y = np.array([float(r[-1]) for r in data])
-            sb = np.array([[int(r[0]), int(r[1])] for r in data])
-        except (ValueError, IndexError) as exc:
-            raise InvalidInputError(f"dataset CSV has a malformed row: {exc}") from exc
-        bsz = int(np.sum(sb[:, 0] == 1))
-        i = np.arange(len(data))
-        if bsz == 0 or not np.array_equal(sb, np.stack([i // bsz + 1, i % bsz + 1], axis=1)):
-            raise InvalidInputError("dataset CSV rows must run through equal batches in s,b order")
-        return Dataset(X, y, bsz, len(data) // bsz)
-
 
 class ExactPosterior:
     """Cholesky-backed exact GP posterior; empty data reduces to the prior."""
@@ -158,18 +122,14 @@ class ExactPosterior:
         var = prior_var - np.sum(V * V, axis=0)
         return mean, clamp_variance(var)
 
-    def cov(self, X, X2=None) -> np.ndarray:
-        """Posterior covariance matrix between two point sets."""
+    def cov(self, X) -> np.ndarray:
+        """Posterior covariance matrix at the rows of X."""
         X = _as_points(self.spec.dim, X)
-        X2m = X if X2 is None else _as_points(self.spec.dim, X2)
-        prior = kernel_matrix(self.spec, X, X2m)
+        prior = kernel_matrix(self.spec, X)
         if self._L is None:
             return prior
-        Ka = kernel_matrix(self.spec, self.data.X, X)
-        Kb = Ka if X2 is None else kernel_matrix(self.spec, self.data.X, X2m)
-        Va = solve_triangular(self._L, Ka, lower=True)
-        Vb = Va if X2 is None else solve_triangular(self._L, Kb, lower=True)
-        return prior - Va.T @ Vb
+        V = solve_triangular(self._L, kernel_matrix(self.spec, self.data.X, X), lower=True)
+        return prior - V.T @ V
 
     def log_marginal(self) -> float:
         """log p(y) under the prior, the quantity any evidence bound sits below."""

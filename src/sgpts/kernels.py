@@ -225,23 +225,23 @@ class FeatureMap:
     returning the phi values, lambdas sorted non-increasing, sup_bounds the
     per-feature sup of |phi_j| over the build domain.
 
-    kind "rff": k(x,x') ~= features(x) @ features(x'), weights absorbed into
+    kind "rff": k(x,x') ~= features(x)^T features(x'), weights absorbed into
     the features; lambdas are all ones so downstream code can treat both kinds
     through the same lambda-weighted interface.
 
-    Each kind has one evaluation rule, _rows, which gives the features one
-    row per feature, (count, n).  feature_rows(fm, X) returns those rows as
-    they are, for the (draws x count) by (count x n) product that scores a
-    batch of draws; features(X) returns their transpose as a C-ordered
-    (n, count) copy, the layout the fits and Phi(Z) use.
+    Each kind has one evaluation rule, _rows, and one layout: features(X)
+    returns the features one row per feature, a C-ordered, read-only
+    (count, n) array.  Every consumer reads them so: a batch of draws is
+    scored as the (draws x count) by (count x n) product, and Phi(Z) and
+    c(x) are column blocks of the same rows.
 
-    features() returns read-only matrices and remembers its last _MEMO_SLOTS
-    inputs, keyed by their bytes: the first request of an input records only
-    the key, and the second stores the matrix, which later requests of the
-    same bytes get back instead of an evaluation.  A grid evaluated once is
-    never stored, while the Phi(Z) and probe features that every draw from
-    one model asks for are.  The memo lives as long as the map; a copy made
-    by dataclasses.replace starts with an empty one.
+    features() remembers its last _MEMO_SLOTS inputs, keyed by their bytes:
+    the first request of an input records only the key, and the second
+    stores the matrix, which later requests of the same bytes get back
+    instead of an evaluation.  A grid evaluated once is never stored, while
+    the Phi(Z) and probe features that every draw from one model asks for
+    are.  The memo lives as long as the map; a copy made by
+    dataclasses.replace starts with an empty one.
     """
 
     kind: str
@@ -259,7 +259,7 @@ class FeatureMap:
     _memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def features(self, X) -> np.ndarray:
-        """Feature matrix of shape (n_points, count), C-ordered and read-only."""
+        """The features at the points X, one row per feature: (count, n), read-only."""
         X = _as_points(self.dim, X)
         # bytes, not values: -0.0 == 0.0, but sin(-0.0) is -0.0
         key = (X.shape, X.tobytes())
@@ -268,7 +268,7 @@ class FeatureMap:
         if slot is not None and slot[1] is not None:
             F = slot[1]
         else:
-            F = self._rows(X).T.copy()
+            F = self._rows(X)
             F.flags.writeable = False
             if slot is None:
                 slot = [key, None]      # first request: the key only
@@ -318,25 +318,13 @@ class FeatureMap:
         return rows
 
 
-def feature_rows(fm: FeatureMap, X) -> np.ndarray:
-    """fm's features at X, one row per feature: a C-ordered (count, n) array.
-
-    Read-only, and fm.features(X).T bit for bit, but computed afresh on every
-    call, outside the memo.  It is the layout a draw scores in: a batch's
-    values at X are the (draws, count) by (count, n) product.
-    """
-    rows = fm._rows(_as_points(fm.dim, X))
-    rows.flags.writeable = False
-    return rows
-
-
 def _features_at(fm: FeatureMap, X: np.ndarray, F: Optional[np.ndarray] = None) -> np.ndarray:
     """fm.features(X), or F when the caller already holds it, checked by shape."""
     if F is None:
         return fm.features(X)
-    if F.shape != (X.shape[0], fm.count):
+    if F.shape != (fm.count, X.shape[0]):
         raise InvalidInputError(
-            f"features have shape {F.shape}, expected {(X.shape[0], fm.count)}"
+            f"features have shape {F.shape}, expected {(fm.count, X.shape[0])}"
         )
     return F
 

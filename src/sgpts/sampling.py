@@ -20,23 +20,19 @@ from eigh(S), which the model computes on its first draw and keeps.  Per
 DrawSetup (model, feature map, alpha): the checks on alpha and on the map,
 sqrt(lambda), and for points Phi = Phi(Z).  Per draw: the RNG calls for w and
 u.  Per batch of k draws: u = m + Xi R^T and the prior part
-(sqrt(lambda) w) (alpha Phi)^T as two products, then one solve with k
+(sqrt(lambda) w) (alpha Phi) as two products, then one solve with k
 right-hand sides; one draw is the batch k = 1.  Per set of evaluation
-points: F, the prior features one row per feature (M x n,
-kernels.feature_rows).  Per chunk of points: U_c = k(X_c, Z) (n_c x m) for
-points, or the transpose of F_c's leading m rows for features.
-DrawSetup.values scores a chunk of k draws into k rows of the result, a
-chunk of points c at a time, as
+points: F = fm.features(X) (M x n).  Per chunk of points: U_c = k(X_c, Z)
+(n_c x m) for points, or the transpose of F_c's leading m rows for
+features.  DrawSetup.values scores a chunk of k draws into k rows of the
+result, a chunk of points c at a time, as
 
     out_c = W F_c;  out_c *= alpha (when alpha != 1);  out_c += (U_c V)^T
 
 with W = sqrt(lambda) w one row per draw (k x M), V one column per draw
 (m x k), both C-ordered, and W capped at _CHUNK_CELLS cells (up to 8192 draws
 on an M <= 512 map is one product); each draw's values, and select_batch's
-argmax over them, lie along a contiguous row.  Against the former (n x M)
-by (M x k) product, values at the 8000 x 512 RFF grid keep their bits, while
-on Mercer maps (M = 128, 256) the prior product may move in its last bits; no
-argmax of the shipped configs' runs moved.
+argmax over them, lie along a contiguous row.
 
 The chunk rule (util.point_shares): n points form n // 4000 chunks
 (util._GRID_CHUNK) of near-equal size, at least one, so every chunk has at
@@ -55,9 +51,9 @@ config whose B m is below the pinned ones may see (U_c V) move in its last
 bits against an unchunked product; at chunk widths of 1024 and 2048 that
 happened at m = 20 to 60, which is why a chunk has at least 4000 points.
 
-In a run, the feature rows of the candidate grid are computed once per
-distinct grid (the grid stops changing once it is capped), held as the run's
-only copy and passed to select_batch.  With a
+In a run, fm.features is asked for the candidate grid once per distinct
+grid (the grid stops changing once it is capped), so its memo keeps only the
+key; the run holds the only copy and passes it to select_batch.  With a
 Mercer map, inducing points picked from the observations come with Phi(Z)
 gathered from the grid features of the steps that queried them, and
 select_batch passes it on.  Phi(Z) is computed only for other inducing
@@ -66,10 +62,10 @@ X @ freqs^T is a GEMM that need not round a row as it does inside a larger X.
 U_c and the root of S are rebuilt every step, since Z and S move with the data.
 
 Outside a run, draw_sample(model, fm, alpha, seed) is that seed on a fresh
-DrawSetup, and its eval_many(X) is row 0 of the set-up's values at X, with
-F the transpose of fm.features(X).  The model keeps its root, and
-FeatureMap.features remembers an input from its second request on, so the
-draws of one model share Phi(Z) and the features at a repeated X.
+DrawSetup, and its eval_many(X) is row 0 of the set-up's values at X.  The
+model keeps its root, and FeatureMap.features remembers an input from its
+second request on, so the draws of one model share Phi(Z) and the features
+at a repeated X.
 
 Seed scheme: step seed = hash(run_seed, t), draw seed = hash(step_seed, b),
 with hash = the first output word of numpy's SeedSequence over the integer
@@ -86,7 +82,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .errors import InvalidInputError
-from .kernels import FeatureMap, _as_points, _features_at, feature_rows, kernel_matrix
+from .kernels import FeatureMap, _as_points, _features_at, kernel_matrix
 from .svgp import SvgpModel
 from .util import as_box, point_shares, run_shares
 
@@ -109,8 +105,8 @@ class DrawSetup:
     its RNG calls and its share of the products and the solve that turn a
     batch of draws' normals into coefficients.  The root of S comes from the
     model, which computes it on its first draw.  Phi, when given, must be
-    fm.features(model.Z) of a points model, shape (m, M); a caller that holds
-    it skips the evaluation.
+    fm.features(model.Z) of a points model; a caller that holds it skips the
+    evaluation.
     """
 
     def __init__(self, model: SvgpModel, fm: FeatureMap, alpha: float, *,
@@ -143,9 +139,9 @@ class DrawSetup:
         u = model.m_vec + xi @ model._s_root().T
         centered = alpha * (u - model.m_vec) + model.m_vec
         if model.variant == "points":
-            # alpha scales Phi, as in the single-draw alpha * Phi @ rootlam_w: a
-            # draw of its own (k = 1) keeps that product's bits for every alpha
-            rhs = centered - rootlam_w @ (alpha * self.Phi).T
+            # alpha scales Phi, as in the single-draw rootlam_w @ (alpha * Phi):
+            # a draw of its own (k = 1) keeps that product's bits for every alpha
+            rhs = centered - rootlam_w @ (alpha * self.Phi)
             v = cho_solve((model._chol_P, True), rhs.T).T
         else:
             v = (centered - alpha * rootlam_w[:, :m]) / model.feature_map.lambdas[:m]
@@ -154,20 +150,14 @@ class DrawSetup:
     def values(self, X, seeds, *, F: np.ndarray | None = None) -> np.ndarray:
         """Row b: the draw of generator np.random.default_rng(seeds[b]) at the rows of X.
 
-        F, when given, must be feature_rows(fm, X), the features at X one row
-        per feature, shape (M, n); else they are computed.  Per chunk of
-        draws, W capped at _CHUNK_CELLS cells: one call of _draws, then
-        _score of its sqrt(lambda) w rows and V at the points.  A chunk of
-        k > 1 draws equals k chunks of one up to the summation order of the
-        products and the solve.
+        F, when given, must be fm.features(X); a caller that holds it skips
+        the evaluation.  Per chunk of draws, W capped at _CHUNK_CELLS cells:
+        one call of _draws, then _score of its sqrt(lambda) w rows and V at
+        the points.  A chunk of k > 1 draws equals k chunks of one up to the
+        summation order of the products and the solve.
         """
         X = _as_points(self.fm.dim, X)
-        if F is None:
-            F = feature_rows(self.fm, X)
-        elif F.shape != (self.fm.count, X.shape[0]):
-            raise InvalidInputError(
-                f"feature rows have shape {F.shape}, expected {(self.fm.count, X.shape[0])}"
-            )
+        F = _features_at(self.fm, X, F)
         model = self.model
         chunk = max(1, _CHUNK_CELLS // self.fm.count)
         out = np.empty((len(seeds), X.shape[0]))
@@ -230,9 +220,9 @@ class SampleFunction:
 
     def eval_many(self, X) -> np.ndarray:
         """This draw's values at the rows of X, an array of its own: row 0 of
-        setup.values on the transpose of fm.features(X), whose memo evaluates a
-        repeated X once per map."""
-        return self.setup.values(X, [self.seed], F=self.setup.fm.features(X).T)[0].copy()
+        setup.values, whose features come from fm.features' memo for a
+        repeated X."""
+        return self.setup.values(X, [self.seed])[0].copy()
 
 
 def draw_sample(model: SvgpModel, fm: FeatureMap, alpha: float, seed: int) -> SampleFunction:
@@ -248,7 +238,7 @@ def draw_sample(model: SvgpModel, fm: FeatureMap, alpha: float, seed: int) -> Sa
 
 
 def decoupled_mean_cov(
-    model: SvgpModel, fm: FeatureMap, alpha: float, X, X2=None
+    model: SvgpModel, fm: FeatureMap, alpha: float, X
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic mean and covariance of the sampling rule.
 
@@ -259,23 +249,17 @@ def decoupled_mean_cov(
     """
     setup = DrawSetup(model, fm, alpha)
     X = _as_points(fm.dim, X)
-    X2m = X if X2 is None else _as_points(fm.dim, X2)
     mean = model.predict(X)[0]
-    Fa = fm.features(X)
-    Fb = Fa if X2 is None else fm.features(X2m)
+    F = fm.features(X)
     lam = fm.lambdas
     if model.variant == "points":
-        Ha = cho_solve((model._chol_P, True), kernel_matrix(model.spec, model.Z, X))
-        Hb = Ha if X2 is None else cho_solve(
-            (model._chol_P, True), kernel_matrix(model.spec, model.Z, X2m)
-        )
-        Ga = Fa.T - setup.Phi.T @ Ha                # residual feature coords
-        Gb = Ga if X2 is None else Fb.T - setup.Phi.T @ Hb
-        cov = (Ga * lam[:, None]).T @ Gb + Ha.T @ model.S_mat @ Hb
+        H = cho_solve((model._chol_P, True), kernel_matrix(model.spec, model.Z, X))
+        G = F - setup.Phi @ H                       # residual feature coords
+        cov = (G * lam[:, None]).T @ G + H.T @ model.S_mat @ H
     else:
         m = model.m_count
-        tail = (Fa[:, m:] * lam[m:]) @ Fb[:, m:].T
-        cov = tail + Fa[:, :m] @ model.S_mat @ Fb[:, :m].T
+        tail = (F[m:] * lam[m:, None]).T @ F[m:]
+        cov = tail + F[:m].T @ model.S_mat @ F[:m]
     return mean, alpha * alpha * cov
 
 
@@ -345,13 +329,12 @@ def select_batch(
 
     Returns (points, indices).  Draw b uses seed hash(step_seed, b); ties in
     the argmax resolve to the lowest grid index.  F, when given, must be
-    feature_rows(fm, grid.points), the grid's features one row per feature,
-    shape (M, n_points); a caller whose grid repeats across steps passes it
-    to skip the re-evaluation.  Phi goes to DrawSetup, which documents it.
-    The B draws are scored by DrawSetup.values into a B x n_points values
-    matrix, in one chunk of draws (its cap holds far more than B draws of
-    any map used here) and the module's chunks of points.  The argmax runs
-    along each draw's contiguous row.
+    fm.features(grid.points); a caller whose grid repeats across steps
+    passes it to skip the re-evaluation.  Phi goes to DrawSetup, which
+    documents it.  The B draws are scored by DrawSetup.values into a
+    B x n_points values matrix, in one chunk of draws (its cap holds far
+    more than B draws of any map used here) and the module's chunks of
+    points.  The argmax runs along each draw's contiguous row.
     """
     if B < 1:
         raise InvalidInputError("B must be >= 1")

@@ -158,7 +158,7 @@ class SvgpModel:
         if self.variant == "points":
             return kernel_matrix(self.spec, self.Z, X)
         lam = self.feature_map.lambdas[: self.m_count]
-        return lam[:, None] * _features_at(self.feature_map, X, F)[:, : self.m_count].T
+        return lam[:, None] * _features_at(self.feature_map, X, F)[: self.m_count]
 
     def _whiten(self, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (solve_triangular(self._chol_P, C, lower=True),
@@ -180,12 +180,11 @@ class SvgpModel:
         var = self.spec.variance - np.sum(V * V, axis=0) + np.sum(W * W, axis=0)
         return C.T @ self._a, clamp_variance(var)
 
-    def cov(self, X, X2=None) -> np.ndarray:
+    def cov(self, X) -> np.ndarray:
+        """Posterior covariance matrix at the rows of X."""
         X = _as_points(self.spec.dim, X)
-        X2m = X if X2 is None else _as_points(self.spec.dim, X2)
-        Va, Wa = self._whiten(self._cross(X))
-        Vb, Wb = (Va, Wa) if X2 is None else self._whiten(self._cross(X2m))
-        return kernel_matrix(self.spec, X, X2m) - Va.T @ Vb + Wa.T @ Wb
+        V, W = self._whiten(self._cross(X))
+        return kernel_matrix(self.spec, X) - V.T @ V + W.T @ W
 
 
 def fit_svgp_closed_form(
@@ -200,8 +199,8 @@ def fit_svgp_closed_form(
 ) -> SvgpModel:
     """Optimal q(u) for the conjugate likelihood; prior moments when data is empty.
 
-    F, when given, must be feature_map.features(data.X), shape (n, count): a
-    caller that holds it skips the evaluation.  The points variant ignores it.
+    F, when given, must be feature_map.features(data.X): a caller that holds
+    it skips the evaluation.  The points variant ignores it.
     """
     prior = SvgpModel(spec=spec, tau=tau, Z=Z, feature_map=feature_map, m_count=m or 0)
     if data.n == 0:

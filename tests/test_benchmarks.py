@@ -115,12 +115,6 @@ class TestDomainHandling:
         with pytest.raises(InvalidInputError):
             b.evaluate(np.array([[1.2]]))
 
-    def test_clamp_mode_warns_and_clips(self):
-        b = get_benchmark("multimodal1d")
-        with pytest.warns(UserWarning):
-            got = b.evaluate(np.array([[1.2]]), strict=False)
-        assert np.allclose(got, b.evaluate(np.array([[1.0]])))
-
     def test_dim_mismatch(self):
         b = get_benchmark("hartmann6")
         with pytest.raises(InvalidInputError):

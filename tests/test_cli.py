@@ -107,7 +107,10 @@ def test_bad_seeds_exit_2(tmp_path, capsys):
 
 
 def test_thread_cap_pool_path(tmp_path, monkeypatch):
+    # two CPUs, whatever the host has, so the two seeds run in the pool
+    monkeypatch.setattr(util, "_cpus", lambda: 2)
     monkeypatch.setenv("SGPTS_THREADS", "2")
+    assert cli._pool_size(2) == 2
     cfg = write_config(tmp_path, TINY)
     out = tmp_path / "runs"
     code = main(["run", "--config", cfg, "--seeds", "3,4", "--out", str(out)])
@@ -130,6 +133,14 @@ def test_pool_counts_the_cpus_this_process_may_run_on(monkeypatch):
     assert cli._pool_size(4) == 3 and cli._pool_size(2) == 2
     monkeypatch.setenv("SGPTS_THREADS", "2")
     assert cli._pool_size(4) == 2
+
+
+def test_pool_is_capped_by_the_cpus_too(monkeypatch):
+    # SGPTS_THREADS caps the workers as it caps the grid threads: above the
+    # CPU count it does not fork more workers than there are CPUs
+    monkeypatch.setattr(util, "_cpus", lambda: 1)
+    monkeypatch.setenv("SGPTS_THREADS", "4")
+    assert cli._pool_size(4) == 1 and util._grid_threads() == 1
 
 
 def test_process_pool_after_threaded_scoring():

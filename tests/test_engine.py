@@ -30,7 +30,7 @@ from sgpts.engine import (
 )
 from sgpts.errors import ConfigError, InvalidInputError, ScheduleUndefinedError
 from sgpts.exact_gp import Dataset, batch_sigma_bound, gamma_bound
-from sgpts.kernels import FeatureMap, KernelSpec, feature_rows, mercer_truncate
+from sgpts.kernels import FeatureMap, KernelSpec, mercer_truncate
 from sgpts.sampling import DrawSetup, _unit_halton, build_grid, select_batch
 from sgpts.svgp import fit_svgp_closed_form, select_inducing_greedy
 from sgpts.util import as_box, rng_from_path
@@ -417,29 +417,29 @@ class TestBelievedBest:
 
 
 class TestObservedFeatures:
-    """A Mercer run reads its observed points' features from its grids' feature rows."""
+    """A Mercer run reads its observed points' features from its grids' features."""
 
     def observed(self):
         # data as a run holds it: B = 4 queried grid points a step, repeats
-        # included, their features gathered from the grid's feature-major
-        # matrix into a C-ordered buffer
+        # included, their features gathered from the grid's features into a
+        # C-ordered buffer, one column per point
         spec = KernelSpec(family="se", dim=1, lengthscales=(0.1,))
         fm = mercer_truncate(spec, 96, [0.0], [1.0])
         grid = build_grid([0.0], [1.0], t=4, lipschitz=3.0, cap=2000)
-        grid_F = feature_rows(fm, grid.points)
+        grid_F = fm.features(grid.points)
         rng = np.random.default_rng(51)
         idx = rng.integers(0, grid.n_points, size=24)
         idx[5] = idx[2]
         data = Dataset(grid.points[idx], rng.normal(size=24), 4, 6)
-        F_obs = np.empty((24, fm.count))
-        F_obs[:] = grid_F[:, idx].T
+        F_obs = np.empty((fm.count, 24))
+        F_obs[:] = grid_F[:, idx]
         return spec, fm, grid, grid_F, data, F_obs
 
     def test_points_keywords_match_the_default_path(self):
         spec, fm, grid, grid_F, data, F_obs = self.observed()
         picks = select_inducing_greedy(data, spec, 12, stop_early=True)
         model = fit_svgp_closed_form(data, spec, 0.05, Z=data.X[picks])
-        Phi = F_obs[picks]
+        Phi = F_obs[:, picks]
         assert np.array_equal(DrawSetup(model, fm, 1.5, Phi=Phi).Phi,
                               DrawSetup(model, fm, 1.5).Phi)
         for a, b in zip(select_batch(model, fm, grid, 6, 1.5, 99, F=grid_F, Phi=Phi),
@@ -462,12 +462,12 @@ class TestObservedFeatures:
         spec, fm, grid, grid_F, data, F_obs = self.observed()
         model = fit_svgp_closed_form(data, spec, 0.05, feature_map=fm, m=20)
         points = fit_svgp_closed_form(data, spec, 0.05, Z=data.X[:3])
-        for wrong in (F_obs[1:], F_obs[:, 1:]):
+        for wrong in (F_obs[:, 1:], F_obs[1:]):
             with pytest.raises(InvalidInputError, match="features have shape"):
                 fit_svgp_closed_form(data, spec, 0.05, feature_map=fm, m=20, F=wrong)
             with pytest.raises(InvalidInputError, match="features have shape"):
                 believed_best(model, data.X, F=wrong)
-        for wrong in (F_obs[:2], F_obs[:3, 1:]):
+        for wrong in (F_obs[:, :2], F_obs[1:, :3]):
             with pytest.raises(InvalidInputError, match="features have shape"):
                 DrawSetup(points, fm, 1.0, Phi=wrong)
 
@@ -484,19 +484,14 @@ class TestObservedFeatures:
         if cfg.variant == "points":     # the step-1 Halton Z, after the first grid
             lo, hi = as_box(bench.lo, bench.hi)
             expected.insert(1, lo + _unit_halton(bench.dim, cfg.m) * (hi - lo))
-        # every evaluation, through feature_rows (the grids) or features (Z)
+        # every evaluation, of the grids and of Z
         calls = []
-        rows, features = engine.feature_rows, FeatureMap.features
-
-        def recorded_rows(fm, X):
-            calls.append(np.array(X, dtype=float))
-            return rows(fm, X)
+        features = FeatureMap.features
 
         def recorded(fm, X):
             calls.append(np.array(X, dtype=float))
             return features(fm, X)
 
-        monkeypatch.setattr(engine, "feature_rows", recorded_rows)
         monkeypatch.setattr(FeatureMap, "features", recorded)
         log = run_sgp_ts(cfg, bench, seed=0)
         assert not log.aborted and len(log.rows) == cfg.T * cfg.B
@@ -653,9 +648,9 @@ class TestRunLoop:
         ("multimodal1d", (), 12),                # 11 lattices, then capped from t = 12
     ])
     def test_grid_features_once_per_distinct_grid(self, monkeypatch, config, overrides, want):
-        # grid evaluations through either entry point, feature_rows or features
+        # grid evaluations, all through FeatureMap.features
         grids, grid_calls = [], []
-        build, rows, features = engine.build_grid, engine.feature_rows, FeatureMap.features
+        build, features = engine.build_grid, FeatureMap.features
 
         def recorded_build(*args, **kwargs):
             grid = build(*args, **kwargs)
@@ -670,11 +665,32 @@ class TestRunLoop:
             return wrapper
 
         monkeypatch.setattr(engine, "build_grid", recorded_build)
-        monkeypatch.setattr(engine, "feature_rows", counted(rows))
         monkeypatch.setattr(FeatureMap, "features", counted(features))
         cfg = parse_config((REPO / "configs" / f"{config}.cfg").read_text(), overrides)
         run_sgp_ts(cfg, get_benchmark(cfg.objective), 0)
         assert len(grid_calls) == want
+
+    @pytest.mark.parametrize("config, overrides", [
+        ("hartmann6", ("grid_cap=8000", "T=4")),   # RFF, one capped grid
+        ("multimodal1d", ("T=14",)),               # Mercer, lattices, then capped
+    ])
+    def test_memo_never_keeps_a_grid(self, monkeypatch, config, overrides):
+        # each distinct grid is asked for once, so the run's map remembers its
+        # key only: an 8000 x 512 grid matrix would add 32 MB to a run's peak
+        maps, features = {}, FeatureMap.features
+
+        def recorded(fm, X):
+            maps[id(fm)] = fm
+            return features(fm, X)
+
+        monkeypatch.setattr(FeatureMap, "features", recorded)
+        cfg = parse_config((REPO / "configs" / f"{config}.cfg").read_text(), overrides)
+        log = run_sgp_ts(cfg, get_benchmark(cfg.objective), 0)
+        n_grid = {r.n_grid for r in log.rows}
+        assert len(maps) == 1
+        (fm,) = maps.values()
+        assert len(fm._memo) >= 1
+        assert all(F is None or F.shape[1] not in n_grid for _, F in fm._memo)
 
     def test_sublinear_trend_on_small_multimodal(self):
         bench = get_benchmark("multimodal1d")

@@ -119,44 +119,6 @@ class TestDataset:
         with pytest.raises(InvalidInputError):
             Dataset.empty(2, 3).append_batch(np.zeros((2, 2)), np.zeros(2))
 
-    def test_csv_round_trip(self):
-        rng = np.random.default_rng(6)
-        data = make_data(rng, n=12, dim=3, bsz=4)
-        back = Dataset.from_csv(data.to_csv())
-        assert np.array_equal(back.X, data.X)
-        assert np.array_equal(back.y, data.y)
-        assert (back.batch_size, back.steps) == (4, 3)
-
-    @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(shape=st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 4)),
-           data=st.data())
-    def test_csv_round_trip_is_bit_exact(self, shape, data):
-        steps, bsz, dim = shape
-        values = st.floats(allow_nan=False, width=64)
-        X = data.draw(hnp.arrays(float, (steps * bsz, dim), elements=values))
-        y = data.draw(hnp.arrays(float, steps * bsz, elements=values))
-        d = Dataset(X, y, bsz, steps)
-        back = Dataset.from_csv(d.to_csv())
-        assert back.X.tobytes() == d.X.tobytes() and back.y.tobytes() == d.y.tobytes()
-        assert (back.X.shape, back.batch_size, back.steps) == (d.X.shape, bsz, steps)
-
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            ["0,1,0.1,0.5"],                                             # step 0
-            ["1,1,0.1,0.5", "2,1,0.2,0.6", "2,2,0.3,0.7", "2,3,0.4,0.8"],  # batches of 1 and 3
-            ["a,1,0.1,0.5"],                                             # non-numeric step
-        ],
-        ids=["s-zero", "unequal-batches", "non-numeric-s"],
-    )
-    def test_csv_inconsistent_steps_rejected(self, rows):
-        with pytest.raises(InvalidInputError):
-            Dataset.from_csv("\n".join(["s,b,x_1,y"] + rows) + "\n")
-
-    def test_csv_header(self):
-        data = make_data(np.random.default_rng(7), n=4, dim=2, bsz=2)
-        assert data.to_csv().splitlines()[0] == "s,b,x_1,x_2,y"
-
 
 class TestInformationGain:
     def test_matches_slogdet_oracle(self):

@@ -15,7 +15,6 @@ from sgpts.kernels import (
     KernelSpec,
     _axis_sup,
     _scaled_sqdist,
-    feature_rows,
     kernel_matrix,
     mercer_truncate,
     rff_sample,
@@ -30,7 +29,7 @@ def eval_kernel(spec, x, x2):
 
 def reconstruct(fm, X):
     """Kernel matrix implied by the truncated expansion."""
-    F = fm.features(X)
+    F = fm.features(X).T
     return (F * fm.lambdas) @ F.T
 
 
@@ -115,7 +114,7 @@ class TestMercer:
         rng = np.random.default_rng(11)
         x = rng.uniform(0.25, 0.75, size=(50, 1))
         y = rng.uniform(0.25, 0.75, size=(50, 1))
-        rec = np.sum(fm.lambdas * fm.features(x) * fm.features(y), axis=1)
+        rec = np.sum(fm.lambdas * fm.features(x).T * fm.features(y).T, axis=1)
         exact = np.array([eval_kernel(spec, xi, yi) for xi, yi in zip(x, y)])
         assert np.abs(rec - exact).max() <= 1e-3
 
@@ -172,7 +171,7 @@ class TestMercer:
         fm = mercer_truncate(spec, 64, [0.0], [1.0])
         M = 10
         grid = np.linspace(0, 1, 101).reshape(-1, 1)
-        F = fm.features(grid)
+        F = fm.features(grid).T
         resid = spec.variance - np.sum(fm.lambdas[:M] * F[:, :M] ** 2, axis=1)
         direct_tail = np.sum(fm.lambdas[M:] * F[:, M:] ** 2, axis=1)
         # residual at x=x' equals the tail sum, and both sit under the bound
@@ -185,7 +184,7 @@ class TestRff:
         spec = se(ls=0.5, var=0.6)
         fm = rff_sample(spec, 2000, seed=3)
         x = np.array([[0.3], [0.9], [-1.2]])
-        F = fm.features(x)
+        F = fm.features(x).T
         assert np.allclose(np.sum(F * F, axis=1), spec.variance, atol=1e-12)
 
     def test_monte_carlo_reconstruction(self):
@@ -206,7 +205,7 @@ class TestRff:
 
         def med_err(M):
             fm = rff_sample(spec, M, seed=9)
-            rec = np.sum(fm.features(x) * fm.features(y), axis=1)
+            rec = np.sum(fm.features(x).T * fm.features(y).T, axis=1)
             return np.median(np.abs(rec - exact))
 
         assert med_err(4000) < med_err(250)
@@ -330,7 +329,7 @@ class TestFeatureLayerBits:
         lambdas, sup, feats = reference_mercer(spec, fm, X, lo_a, hi_a)
         assert np.array_equal(fm.lambdas, lambdas)
         assert np.array_equal(fm.sup_bounds, sup)
-        assert np.array_equal(fm.features(X), feats)
+        assert np.array_equal(fm.features(X), feats.T)
 
     @pytest.mark.parametrize("spec, M, lo, hi", [
         (se(ls=0.05), 256, [0.0], [1.0]),
@@ -346,7 +345,7 @@ class TestFeatureLayerBits:
         picks = np.random.default_rng(42).integers(0, 1999, size=257)
         for idx in ([0], [1], [2], [3], [1001], [1998], [7, 7, 7],
                     [1998, 3, 1998, 0, 3], picks):
-            assert np.array_equal(F[idx], fm.features(P[idx]))
+            assert np.array_equal(F[:, idx], fm.features(P[idx]))
 
     def test_cached_sup_search_matches_a_fresh_one(self):
         # the second build reads the per-axis sup vectors from the cache
@@ -375,7 +374,7 @@ class TestFeatureLayerBits:
         X = np.random.default_rng(37).uniform(-1.0, 2.0, size=(257, 6))
         F = fm.features(X)
         assert F.flags.c_contiguous
-        assert np.array_equal(F, reference_rff_features(fm, X))
+        assert np.array_equal(F, reference_rff_features(fm, X).T)
 
 
 # Out-of-place kernel matrices: the expressions the in-place evaluation in
@@ -443,9 +442,9 @@ class TestKernelMatrixBits:
         assert np.array_equal(kernel_matrix(spec, grid, Z), reference_kernel_matrix(spec, grid, Z))
 
 
-# Feature rows: feature_rows(fm, X) is the one evaluation of a map, one row per
-# feature; features(X) is its transpose, C-ordered.  Both must reproduce the
-# column-at-a-time evaluation they replaced bit for bit.
+# Feature rows: features(X) is the one evaluation of a map, one row per
+# feature, C-ordered.  It must reproduce the column-at-a-time evaluation it
+# replaced bit for bit.
 
 def reference_columns(fm, X):
     """The (n, count) features as evaluated column-wise: Mercer through np.take
@@ -498,11 +497,12 @@ class TestFeatureRowChunks:
         fm = rff_sample(se(dim=6, ls=0.3), count, seed=2)
         X = np.random.default_rng(n).uniform(0.0, 1.0, size=(n, 6))
         monkeypatch.setattr(util, "_GRID_CHUNK", n + 1)
-        whole = feature_rows(fm, X)
+        whole = fm.features(X)
         monkeypatch.undo()
         for threads in (1, 2, 3):
             monkeypatch.setattr(util, "_grid_threads", lambda: threads)
-            assert np.array_equal(feature_rows(fm, X), whole)
+            # a copy of the map has an empty memo, so its rows are evaluated
+            assert np.array_equal(dataclasses.replace(fm).features(X), whole)
 
 
 class TestFeatureRowBits:
@@ -516,25 +516,23 @@ class TestFeatureRowBits:
         half = 0.5 * (hi - lo)
         X = np.random.default_rng(n).uniform(lo - half, hi + half, size=(n, fm.dim))
         want = reference_columns(fm, X)
-        rows = feature_rows(fm, X)
+        rows = fm.features(X)
         assert rows.shape == (fm.count, n) and rows.flags.c_contiguous
         assert not rows.flags.writeable
         assert np.array_equal(rows.T, want)
-        F = fm.features(X)
-        assert F.flags.c_contiguous and not F.flags.writeable
-        assert F.tobytes() == want.tobytes()
+        assert rows.T.copy().tobytes() == want.tobytes()
 
-    def test_rows_are_computed_afresh(self):
-        # the rows skip the memo: a repeated X is evaluated again, and the
-        # memo is left as it was
-        fm = ROW_MAPS["rff-odd"]()
-        X = np.random.default_rng(5).uniform(size=(7, 6))
-        first = feature_rows(fm, X)
-        second = feature_rows(fm, X)
-        assert second is not first and np.array_equal(first, second)
-        assert fm._memo == []
+    @pytest.mark.parametrize("kind", ["mercer-1d", "mercer-2d", "rff-even", "rff-odd"])
+    def test_features_are_the_rows_as_they_are(self, kind):
+        # one layout: features(X) is _rows(X) as it is, and a wrong point
+        # dimension is refused
+        fm = ROW_MAPS[kind]()
+        X = np.random.default_rng(5).uniform(size=(7, fm.dim))
+        F = fm.features(X)
+        assert F.shape == (fm.count, 7) and F.flags.c_contiguous and not F.flags.writeable
+        assert same_bits(F, fm._rows(X))
         with pytest.raises(InvalidInputError):
-            feature_rows(fm, X[:, :5])
+            fm.features(np.ones((7, fm.dim + 1)))
 
 
 # FeatureMap.features remembers repeated inputs.

@@ -18,7 +18,6 @@ from sgpts.exact_gp import Dataset, fit_exact
 from sgpts.kernels import (
     FeatureMap,
     KernelSpec,
-    feature_rows,
     kernel_matrix,
     mercer_truncate,
     rff_sample,
@@ -98,14 +97,14 @@ def per_draw_coeffs(setup, seed):
     centered = alpha * (u - model.m_vec) + model.m_vec
     rootlam_w = np.sqrt(fm.lambdas) * w
     if model.variant == "points":
-        prior = np.abs(setup.Phi) @ np.abs(rootlam_w)
+        prior = np.abs(setup.Phi.T) @ np.abs(rootlam_w)
     else:
         prior = np.abs(rootlam_w[:m])
     size = np.abs(model.m_vec) + alpha * (np.abs(model.m_vec) + np.abs(root) @ np.abs(xi) + prior)
     dr = 2 * gamma(fm.count + m + 6) * size
     if model.variant == "points":
         L = model._chol_P
-        v = cho_solve((L, True), centered - alpha * setup.Phi @ rootlam_w)
+        v = cho_solve((L, True), centered - alpha * setup.Phi.T @ rootlam_w)
         P_inv = np.abs(cho_solve((L, True), np.eye(m)))
         bound = P_inv @ (dr + 2 * gamma(2 * m) * (np.abs(L) @ (np.abs(L.T) @ np.abs(v))))
         return rootlam_w, v, bound
@@ -129,11 +128,11 @@ class TestMeanInvariance:
         else:
             lam = model.feature_map.lambdas[: model.m_count]
             V = lam * (model.m_vec / lam)
-            U = fm.features(probes)[:, : model.m_count]
+            U = fm.features(probes).T[:, : model.m_count]
         want = model.predict(probes)[0]
         quiet = np.empty((1, probes.shape[0]))
         for alpha in (1.0, 2.7):
-            _on_basis(feature_rows(fm, probes), U, alpha, np.zeros((1, fm.count)), V[:, None],
+            _on_basis(fm.features(probes), U, alpha, np.zeros((1, fm.count)), V[:, None],
                       quiet)
             assert np.abs(quiet[0] - want).max() < 1e-8
 
@@ -245,10 +244,10 @@ class TestAnalyticCovariance:
             select_batch(model, fm, grid, B=2, alpha=0.99, step_seed=0)
         with pytest.raises(InvalidInputError):
             select_batch(model, fm, grid, B=0, alpha=1.0, step_seed=0)
-        # the rows are checked by shape, and the (n, M) features(X) layout is refused
-        F = feature_rows(fm, grid.points)
-        for wrong in (F[1:], F[:, 1:], F.ravel(), fm.features(grid.points)):
-            with pytest.raises(InvalidInputError, match="feature rows have shape"):
+        # the features are checked by shape, and their transpose is refused
+        F = fm.features(grid.points)
+        for wrong in (F[1:], F[:, 1:], F.ravel(), F.T):
+            with pytest.raises(InvalidInputError, match="features have shape"):
                 select_batch(model, fm, grid, B=2, alpha=1.0, step_seed=0, F=wrong)
 
     def test_rejects_another_kernels_eigen_map(self):
@@ -285,7 +284,7 @@ class TestDeterminism:
         # one set-up per alpha, many draws: draw_sample's draws bit for bit
         model, fm = fitted_case(case, np.random.default_rng(14))
         X = np.linspace(0, 1, 11).reshape(-1, 1)
-        F = fm.features(X)
+        F = fm.features(X).T
         U = kernel_matrix(SE1, X, model.Z) if model.variant == "points" else F[:, : model.m_count]
         for alpha in (1.0, 2.0):
             setup = DrawSetup(model, fm, alpha)
@@ -325,7 +324,7 @@ class TestDrawValues:
         setup = DrawSetup(model, fm, alpha)
         seeds = [derive_seed(2024, b) for b in range(n_draws)]
         want = np.stack([draw_sample(model, fm, alpha, seed).eval_many(X) for seed in seeds])
-        F = fm.features(X)
+        F = fm.features(X).T
         U = kernel_matrix(SE1, X, model.Z) if model.variant == "points" else F[:, : model.m_count]
         scale = np.stack([alpha * np.abs(F) @ np.abs(W) + np.abs(U) @ np.abs(V)
                           for W, V, _ in (per_draw_coeffs(setup, seed) for seed in seeds)])
@@ -389,7 +388,7 @@ class TestDrawValues:
         X = np.linspace(-0.1, 1.1, 13).reshape(-1, 1)
         setup = DrawSetup(model, fm, alpha)
         seeds = [derive_seed(key, b) for b in range(n_draws)]
-        F = fm.features(X)
+        F = fm.features(X).T
         U = kernel_matrix(SE1, X, model.Z) if model.variant == "points" else F[:, : model.m_count]
         scale = np.stack([alpha * np.abs(F) @ np.abs(W) + np.abs(U) @ np.abs(V)
                           for W, V, _ in (per_draw_coeffs(setup, seed) for seed in seeds)])
@@ -412,7 +411,7 @@ class TestDrawValues:
         grid = build_grid([0.0], [1.0], t=3, lipschitz=2.0, cap=4000)
         seeds = [derive_seed(99, b) for b in range(6)]
         vals = DrawSetup(model, fm, 1.3).values(grid.points, seeds)
-        F = feature_rows(fm, grid.points)
+        F = fm.features(grid.points)
         assert np.array_equal(vals, DrawSetup(model, fm, 1.3).values(grid.points, seeds, F=F))
         pts, idx = select_batch(model, fm, grid, B=6, alpha=1.3, step_seed=99)
         assert np.array_equal(idx, np.argmax(vals, axis=1))
@@ -436,9 +435,9 @@ def chunk_grids():
     grids = {}
     for n in (8000, 40000):
         pts = rng.uniform(0.0, 1.0, size=(n, 6))
-        grids["rff", n] = pts, feature_rows(RFF6, pts)
+        grids["rff", n] = pts, RFF6.features(pts)
         pts = rng.uniform(0.0, 1.0, size=(n, 1))
-        grids["mercer", n] = pts, feature_rows(MERCER1, pts)
+        grids["mercer", n] = pts, MERCER1.features(pts)
     return grids
 
 
@@ -708,7 +707,7 @@ class TestSelectBatch:
         step_seed = 777
         pts, idx = select_batch(model, fm, grid, B=4, alpha=1.0, step_seed=step_seed)
         pts_f, idx_f = select_batch(model, fm, grid, B=4, alpha=1.0, step_seed=step_seed,
-                                    F=feature_rows(fm, grid.points))
+                                    F=fm.features(grid.points))
         assert np.array_equal(idx, idx_f) and np.array_equal(pts, pts_f)
         for b in range(4):
             s = draw_sample(model, fm, 1.0, seed=derive_seed(step_seed, b))
@@ -717,18 +716,14 @@ class TestSelectBatch:
             assert np.array_equal(pts[b], grid.points[idx[b]])
 
     def test_set_up_runs_once_per_call(self, monkeypatch):
-        # one select_batch call: feature rows at the grid, features at Z, one
-        # eigh of S, which the model keeps for every later call
+        # one select_batch call: features at the grid and at Z, one eigh of
+        # S, which the model keeps for every later call
         rng = np.random.default_rng(13)
         data, model = fitted_points_model(rng)
         fm = mercer_truncate(SE1, 64, [0.0], [1.0])
         grid = build_grid([0.0], [1.0], t=3, lipschitz=2.0, cap=4000)
-        calls = {"rows": 0, "features": 0, "eigh": 0}
-        rows, features, eigh = sampling.feature_rows, FeatureMap.features, np.linalg.eigh
-
-        def counted_rows(fm, X):
-            calls["rows"] += 1
-            return rows(fm, X)
+        calls = {"features": 0, "eigh": 0}
+        features, eigh = FeatureMap.features, np.linalg.eigh
 
         def counted_features(self, X):
             calls["features"] += 1
@@ -738,15 +733,14 @@ class TestSelectBatch:
             calls["eigh"] += 1
             return eigh(a, *args, **kwargs)
 
-        F = feature_rows(fm, grid.points)
-        monkeypatch.setattr(sampling, "feature_rows", counted_rows)
+        F = fm.features(grid.points)
         monkeypatch.setattr(FeatureMap, "features", counted_features)
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         select_batch(model, fm, grid, B=5, alpha=1.0, step_seed=5)
-        assert calls == {"rows": 1, "features": 1, "eigh": 1}
-        # given the grid's feature rows, only Phi(Z) is evaluated
+        assert calls == {"features": 2, "eigh": 1}
+        # given the grid's features, only Phi(Z) is evaluated
         select_batch(model, fm, grid, B=5, alpha=1.0, step_seed=5, F=F)
-        assert calls == {"rows": 1, "features": 2, "eigh": 1}
+        assert calls == {"features": 3, "eigh": 1}
 
     def test_seed_order_permutes_outputs_only(self):
         rng = np.random.default_rng(10)
