@@ -101,8 +101,10 @@ class ExactPosterior:
         self.spec = spec
         self.tau = float(tau)
         if data.n:
+            # K + tau I in place: the same bits as the out-of-place sum
             K = kernel_matrix(spec, data.X)
-            self._L = chol_psd(K + self.tau * np.eye(data.n))
+            K.flat[:: data.n + 1] += self.tau
+            self._L = chol_psd(K)
             self._alpha = solve_triangular(
                 self._L.T, solve_triangular(self._L, data.y, lower=True), lower=False
             )
@@ -161,8 +163,12 @@ def information_gain_points(X: np.ndarray, spec: KernelSpec, tau: float) -> floa
     X = _as_points(spec.dim, X)
     if X.shape[0] == 0:
         return 0.0
+    # I + K / tau in place, with the bits of the out-of-place expression: no
+    # identity and no second n x n array
     K = kernel_matrix(spec, X)
-    L = chol_psd(np.eye(X.shape[0]) + K / tau)
+    K /= tau
+    K.flat[:: X.shape[0] + 1] += 1.0
+    L = chol_psd(K)
     return float(np.sum(np.log(np.diag(L))))
 
 

@@ -49,7 +49,12 @@ from .util import as_box, point_shares, rng_from_path, run_shares
 
 _MATERN_NUS = (1.5, 2.5)
 _MEMO_SLOTS = 2     # inputs whose feature matrices a FeatureMap remembers
-_COPY_BLOCK = 128   # points per block of the RFF rows' transposing copy
+# points per block of the RFF phases X_b @ freqs^T, a GEMM into a buffer that
+# stays in cache for the transposing copy.  Its rows have the bits of the one
+# (n, M/2) product for every block of 2 to _COPY_BLOCK + 1 rows; a block of
+# one row would go through GEMV, which rounds differently, so a one-point
+# tail joins the block before it
+_COPY_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -291,31 +296,44 @@ class FeatureMap:
                 else:
                     rows *= phis[index]
             return rows
-        z = X @ self._freqs.T
-        n_pair = self._freqs.shape[0] if self.count % 2 == 0 else self._freqs.shape[0] - 1
+        n_freq = self._freqs.shape[0]
+        n_pair = n_freq if self.count % 2 == 0 else n_freq - 1
         rows = np.empty((self.count, X.shape[0]))
-        # z^T into the sin rows, then cos of them into the cos rows and sin in
-        # place: every ufunc runs along contiguous rows, and no second z is
-        # made.  The transposing copy goes _COPY_BLOCK points at a time, so the
-        # columns it reads from z stay in cache (5x faster at 8000 x 256).
-        # Threads fill the columns of util.point_shares' chunks in place: the
-        # work is elementwise, so the bits do not depend on the chunks.
+        # Per block of points, the phases z = X_b @ freqs^T go into a small
+        # buffer, z^T into the sin rows and the odd map's shifted cosine into
+        # the last row; then cos of the sin rows into the cos rows and sin in
+        # place, every ufunc along contiguous rows.  No (n, M/2) phase matrix
+        # is made.  Threads fill the columns of util.point_shares' chunks, each
+        # with a buffer made here, as sampling._score does: made on a worker,
+        # it would stay resident in that thread's malloc arena.
         sin, cos = rows[1 : 2 * n_pair : 2], rows[0 : 2 * n_pair : 2]
+        freqs_t = self._freqs.T
         shares = point_shares(X.shape[0])
+        bufs = [np.empty((min(max(hi - lo for lo, hi in spans), _COPY_BLOCK + 1), n_freq))
+                for spans in shares]
 
         def fill(t: int) -> None:
             for lo, hi in shares[t]:
-                for a in range(lo, hi, _COPY_BLOCK):
-                    b = min(a + _COPY_BLOCK, hi)
-                    sin[:, a:b] = z[a:b, :n_pair].T
+                for a, b in _blocks(lo, hi):
+                    z = np.matmul(X[a:b], freqs_t, out=bufs[t][: b - a])
+                    sin[:, a:b] = z[:, :n_pair].T
+                    if self.count % 2 == 1:
+                        np.cos(z[:, -1] + self._phase, out=rows[-1, a:b])
                 np.cos(sin[:, lo:hi], out=cos[:, lo:hi])
                 np.sin(sin[:, lo:hi], out=sin[:, lo:hi])
-                if self.count % 2 == 1:
-                    np.cos(z[lo:hi, -1] + self._phase, out=rows[-1, lo:hi])
                 rows[:, lo:hi] *= self._amp
 
         run_shares(fill, len(shares))
         return rows
+
+
+def _blocks(lo: int, hi: int) -> list:
+    """The (a, b) spans of _COPY_BLOCK points that cover range(lo, hi), a
+    one-point tail joined to the span before it."""
+    edges = [*range(lo, hi, _COPY_BLOCK), hi]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _features_at(fm: FeatureMap, X: np.ndarray, F: Optional[np.ndarray] = None) -> np.ndarray:

@@ -277,12 +277,35 @@ class Discretization:
         return self.points.shape[0]
 
 
+def _primes(count: int) -> list:
+    """The first count primes, by trial division."""
+    primes, k = [], 2
+    while len(primes) < count:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
 @functools.lru_cache(maxsize=8)
 def _unit_halton(d: int, n: int) -> np.ndarray:
-    """The first n points of the unscrambled d-dim Halton sequence, read-only."""
-    from scipy.stats import qmc     # here, so that importing sgpts leaves scipy.stats out
+    """The first n points of the unscrambled d-dim Halton sequence, read-only.
 
-    unit = qmc.Halton(d=d, scramble=False).random(n)
+    Point i, from i = 0 (the origin), holds in dimension j the radical
+    inverse of i in the j-th prime base b: with b2r = 1/b and q = i, while
+    q > 0 add (q % b) * b2r, then divide b2r by b and floor-divide q by b,
+    least significant digit first.  These are the operations and the order
+    of scipy.stats.qmc.Halton(d, scramble=False).random(n), so the points
+    are its bits, in its layout: an (n, d) view of a (d, n) array.
+    """
+    cols = np.zeros((d, n))
+    for col, base in zip(cols, _primes(d)):
+        q, b2r = np.arange(n), 1.0 / base
+        while q.any():
+            col += (q % base) * b2r
+            b2r /= base
+            q //= base
+    unit = cols.T
     unit.flags.writeable = False
     return unit
 

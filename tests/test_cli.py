@@ -223,15 +223,46 @@ def test_verify_failing_check_exits_1(capsys, monkeypatch):
 
 
 def test_import_leaves_scipy_stats_and_optimize_unloaded():
-    # together they took an import of sgpts from 58 to 100 MB resident
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    script = ("import sys, sgpts\n"
-              "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    # together they took an import of sgpts from 58 to 100 MB resident.  Runs
+    # of the shipped configs, and a multi-seed `run` whose seeds go to pool
+    # workers, must leave scipy.stats out too: it served only the Halton set
+    repo = Path(__file__).resolve().parent.parent
+    script = (
+        "import os, sys, tempfile\n"
+        "from pathlib import Path\n"
+        "from sgpts import cli, util\n"
+        "from sgpts.benchmarks import get_benchmark\n"
+        "from sgpts.engine import parse_config, run_sgp_ts\n"
+        "def loaded():\n"
+        "    return sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules)\n"
+        "print(loaded())\n"
+        "for name, over in (('multimodal1d', ()), ('theoretical', ()),\n"
+        "                   ('hartmann6', ('grid_cap=500', 'T=2'))):\n"
+        "    cfg = parse_config(Path(f'configs/{name}.cfg').read_text(), over)\n"
+        "    run_sgp_ts(cfg, get_benchmark(cfg.objective), 0)\n"
+        "print(loaded())\n"
+        "parent, one_run = os.getpid(), cli._one_run\n"
+        "def checked(cfg, seed):\n"
+        "    if os.getpid() == parent or 'scipy.stats' in sys.modules:\n"
+        "        raise RuntimeError('not a pool worker, or scipy.stats loaded before the run')\n"
+        "    result = one_run(cfg, seed)\n"
+        "    if 'scipy.stats' in sys.modules:\n"
+        "        raise RuntimeError('the run loaded scipy.stats in a pool worker')\n"
+        "    return result\n"
+        "cli._one_run = checked\n"
+        "util._cpus = lambda: 2\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    assert cli.main(['run', '--config', 'configs/multimodal1d.cfg',\n"
+        "                     '--seeds', '0,1', '--out', out]) == 0\n"
+        "print(loaded())\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "SGPTS_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"),
+                                                      os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=repo, env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    assert proc.stdout.split("\n")[0] == "[]"
+    assert all("scipy.stats" not in line for line in proc.stdout.splitlines())
 
 
 def test_verify_unknown_level_raises():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -17,6 +18,7 @@ from sgpts.exact_gp import (
     information_gain_points,
 )
 from sgpts.kernels import KernelSpec, kernel_matrix
+from sgpts.util import chol_psd
 
 
 def make_data(rng, n=12, dim=1, bsz=1):
@@ -106,6 +108,39 @@ class TestPosterior:
         want = -0.5 * data.y @ np.linalg.solve(K, data.y)
         want -= 0.5 * np.linalg.slogdet(K)[1] + 0.5 * data.n * math.log(2 * math.pi)
         assert np.isclose(post.log_marginal(), want, atol=1e-9)
+
+
+class TestInPlaceBits:
+    """K + tau I and I + K / tau are built in place in the one n x n kernel
+    matrix; gamma and the posterior must keep the bits of the out-of-place
+    expressions, on random inputs and on inputs that repeat every point (a
+    singular K)."""
+
+    @pytest.mark.parametrize("spec", [
+        KernelSpec(family="se", dim=2, lengthscales=(0.5, 0.8), variance=0.9),
+        KernelSpec(family="matern", dim=1, lengthscales=(0.3,), nu=2.5),
+        KernelSpec(family="matern", dim=3, lengthscales=(0.7,) * 3, nu=1.5, variance=0.6),
+    ], ids=["se2", "m25", "m15-3d"])
+    @pytest.mark.parametrize("n", [1, 2, 40, 301])
+    @pytest.mark.parametrize("tau", [1e-6, 0.05, 0.7])
+    @pytest.mark.parametrize("duplicated", [False, True], ids=["random", "duplicated"])
+    def test_match_out_of_place_expressions(self, spec, n, tau, duplicated):
+        rng = np.random.default_rng(n)
+        X = rng.uniform(-1.0, 1.0, size=(n, spec.dim))
+        if duplicated:
+            X[n // 2:] = X[: n - n // 2]
+        y, Xq = rng.normal(size=n), rng.uniform(-1.0, 1.0, size=(9, spec.dim))
+        K = kernel_matrix(spec, X)
+        gamma = float(np.sum(np.log(np.diag(chol_psd(np.eye(n) + K / tau)))))
+        assert information_gain_points(X, spec, tau) == gamma
+        post = fit_exact(Dataset(X, y, 1, n), spec, tau)
+        L = chol_psd(K + tau * np.eye(n))
+        alpha = solve_triangular(L.T, solve_triangular(L, y, lower=True), lower=False)
+        Kxs = kernel_matrix(spec, X, Xq)
+        V = solve_triangular(L, Kxs, lower=True)
+        mean, var = post.predict(Xq)
+        assert mean.tobytes() == (Kxs.T @ alpha).tobytes()
+        assert var.tobytes() == np.maximum(spec.variance - np.sum(V * V, axis=0), 0.0).tobytes()
 
 
 class TestDataset:

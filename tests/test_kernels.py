@@ -1,6 +1,11 @@
 import dataclasses
+import inspect
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +15,12 @@ from hypothesis import strategies as st
 from sgpts import util
 from sgpts.errors import InvalidInputError, UnsupportedDecompositionError
 from sgpts.kernels import (
+    _COPY_BLOCK,
     _MEMO_SLOTS,
     FeatureMap,
     KernelSpec,
     _axis_sup,
+    _blocks,
     _scaled_sqdist,
     kernel_matrix,
     mercer_truncate,
@@ -376,6 +383,28 @@ class TestFeatureLayerBits:
         assert F.flags.c_contiguous
         assert np.array_equal(F, reference_rff_features(fm, X).T)
 
+    @pytest.mark.parametrize("M", [128, 129, 511, 512])
+    @pytest.mark.parametrize("n", [1, 2, 129, 130, 257, 12289])
+    def test_rff_blocks_match_one_product(self, monkeypatch, n, M):
+        # the phases go _COPY_BLOCK points at a time; their rows must have the
+        # bits of the one X @ freqs^T product.  A one-point tail (129, 257, and
+        # 12289's third chunk of 4097 points) joins the block before it
+        fm = rff_sample(se(dim=6, ls=0.3, var=0.8), M, seed=17)
+        X = np.random.default_rng(n).uniform(-1.0, 2.0, size=(n, 6))
+        want = reference_rff_features(fm, X).T.copy()
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(util, "_grid_threads", lambda: threads)
+            assert same_bits(fm._rows(X), want)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 2), (0, 128), (0, 129), (0, 130),
+                                        (0, 257), (4096, 8193), (5, 5000)])
+    def test_blocks_cover_the_points_without_one_point_tails(self, lo, hi):
+        spans = _blocks(lo, hi)
+        assert [a for a, _ in spans] == [lo] + [b for _, b in spans[:-1]]
+        assert spans[-1][1] == hi
+        assert all(b - a >= 2 for a, b in spans) or hi - lo == 1
+        assert all(b - a <= _COPY_BLOCK + 1 for a, b in spans)
+
 
 # Out-of-place kernel matrices: the expressions the in-place evaluation in
 # sgpts.kernels must reproduce bit for bit.
@@ -503,6 +532,40 @@ class TestFeatureRowChunks:
             monkeypatch.setattr(util, "_grid_threads", lambda: threads)
             # a copy of the map has an empty memo, so its rows are evaluated
             assert np.array_equal(dataclasses.replace(fm).features(X), whole)
+
+    def test_blocks_keep_the_bits_at_every_thread_count(self):
+        """BLAS at 1 and 2 threads, SGPTS_THREADS 1 to 3 (with _cpus() raised
+        so 3 holds): the rows equal the one-product reference of the same
+        process, byte for byte, at n = 1, 129, 257 and 12289 (three chunks,
+        the last of 4097 points) and even and odd M."""
+        script = (
+            "import os\n"
+            "import numpy as np\n"
+            "from sgpts import util\n"
+            "from sgpts.kernels import KernelSpec, rff_sample\n"
+            + inspect.getsource(reference_rff_features) +
+            "util._cpus = lambda: 3\n"
+            "spec = KernelSpec(family='matern', dim=6, lengthscales=(0.4,), nu=2.5)\n"
+            "bad = []\n"
+            "for M in (511, 512):\n"
+            "    fm = rff_sample(spec, M, seed=23)\n"
+            "    for n in (1, 129, 257, 12289):\n"
+            "        X = np.random.default_rng(n).uniform(0.0, 1.0, size=(n, 6))\n"
+            "        want = reference_rff_features(fm, X).T.tobytes()\n"
+            "        for threads in ('1', '2', '3'):\n"
+            "            os.environ['SGPTS_THREADS'] = threads\n"
+            "            if fm._rows(X).tobytes() != want:\n"
+            "                bad.append((M, n, threads))\n"
+            "print(bad)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        for blas in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas,
+                       MKL_NUM_THREADS=blas, PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True, timeout=120)
+            assert proc.stdout.strip() == "[]", blas
 
 
 class TestFeatureRowBits:

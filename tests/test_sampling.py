@@ -660,9 +660,19 @@ class TestGrid:
         assert all(h <= 2.0 / t ** 2 for h, t in zip(spacing, (1, 2, 4)))
         assert gs[0].n_points <= gs[1].n_points <= gs[2].n_points
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 17])
+    def test_halton_set_has_scipys_bits(self, d):
+        # scipy is the oracle: the same bits, compared as int64 words, and the
+        # same layout, which the grid's points and every product on them inherit
+        for n in (1, 2, 20, 100, 800, 2000, 8000, 40000):
+            got, want = _unit_halton(d, n), qmc.Halton(d=d, scramble=False).random(n)
+            assert got.shape == want.shape and got.strides == want.strides
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_halton_set_is_made_once_and_read_only(self):
         unit = _unit_halton(3, 500)
-        assert np.array_equal(unit, qmc.Halton(d=3, scramble=False).random(500))
+        assert np.array_equal(unit.view(np.int64),
+                              qmc.Halton(d=3, scramble=False).random(500).view(np.int64))
         assert not unit.flags.writeable
         assert _unit_halton(3, 500) is unit
         lo, hi = np.array([0.0, -1.0, 2.0]), np.array([1.0, 1.0, 5.0])
