@@ -376,27 +376,26 @@ def mercer_truncate(spec: KernelSpec, M: int, lower, upper) -> FeatureMap:
     if lo.size != spec.dim:
         raise InvalidInputError("domain dimension does not match the kernel")
     axes = tuple(_mercer_axis(spec.lengthscales[i], lo[i], hi[i]) for i in range(spec.dim))
-    per_dim = [ax.lambdas(M) for ax in axes]
+    per_dim = [ax.lambdas(M).tolist() for ax in axes]
 
-    # best-first walk over index tuples; products of per-axis eigenvalues
+    # best-first walk over index tuples, products taken in axis order.  Each
+    # tuple is pushed once, by its parent: the tuple with its last nonzero index
+    # (at axis `last`) one lower, so a popped tuple has children only along axes
+    # >= last.  A parent's key (-lam, idx) sorts before its child's (lam does not
+    # grow along an axis; on a tie idx is smaller), so pops come in key order.
     start = (0,) * spec.dim
-    heap = [(-float(np.prod([per_dim[i][0] for i in range(spec.dim)])), start)]
-    seen = {start}
+    heap = [(-math.prod(lam[0] for lam in per_dim), start, 0)]
     index_rows = []
     lams = []
     while heap and len(index_rows) < M:
-        neg, idx = heapq.heappop(heap)
+        neg, idx, last = heapq.heappop(heap)
         index_rows.append(idx)
         lams.append(-neg)
-        for axis in range(spec.dim):
+        for axis in range(last, spec.dim):
             if idx[axis] + 1 >= M:
                 continue
             nxt = idx[:axis] + (idx[axis] + 1,) + idx[axis + 1 :]
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            lam = float(np.prod([per_dim[i][nxt[i]] for i in range(spec.dim)]))
-            heapq.heappush(heap, (-lam, nxt))
+            heapq.heappush(heap, (-math.prod(map(list.__getitem__, per_dim, nxt)), nxt, axis))
 
     index = np.asarray(index_rows, dtype=int)
     lambdas = spec.variance * np.asarray(lams)

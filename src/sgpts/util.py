@@ -110,8 +110,12 @@ def chol_psd(mat: np.ndarray):
         return cholesky(mat, lower=True)
     except np.linalg.LinAlgError:
         pass
+    # one copy, jittered in place; adding 0.0 turns a -0.0 into 0.0, as
+    # adding JITTER * I would, so the factor keeps that sum's bits
+    jittered = np.add(mat, 0.0, dtype=float)
+    jittered.flat[:: mat.shape[0] + 1] += JITTER
     try:
-        return cholesky(mat + JITTER * np.eye(mat.shape[0]), lower=True)
+        return cholesky(jittered, lower=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalDegeneracyError(
             f"Cholesky failed for {mat.shape[0]}x{mat.shape[0]} matrix even with jitter"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -18,7 +18,7 @@ from sgpts.exact_gp import (
     information_gain_points,
 )
 from sgpts.kernels import KernelSpec, kernel_matrix
-from sgpts.util import chol_psd
+from sgpts.util import JITTER, chol_psd
 
 
 def make_data(rng, n=12, dim=1, bsz=1):
@@ -141,6 +141,33 @@ class TestInPlaceBits:
         mean, var = post.predict(Xq)
         assert mean.tobytes() == (Kxs.T @ alpha).tobytes()
         assert var.tobytes() == np.maximum(spec.variance - np.sum(V * V, axis=0), 0.0).tobytes()
+
+
+def repeated_rows_6d():
+    X = np.random.default_rng(0).uniform(size=(30, 6))
+    X[20:] = X[:10]
+    return X
+
+
+class TestCholPsdRetry:
+    """The jitter retry factors a copy with JITTER added to its diagonal in
+    place; the factor keeps the bits of cholesky(mat + JITTER * I)."""
+
+    @pytest.mark.parametrize("mat", [
+        kernel_matrix(KernelSpec(family="se", dim=1, lengthscales=(0.3,)),
+                      np.array([[0.1], [0.1], [0.5]])),
+        kernel_matrix(KernelSpec(family="se", dim=6, lengthscales=(0.5,) * 6), repeated_rows_6d()),
+        kernel_matrix(KernelSpec(family="matern", dim=6, lengthscales=(1.0,) * 6, nu=2.5),
+                      repeated_rows_6d()),
+        np.array([[1.0, 1.0, -0.0], [1.0, 1.0, -0.0], [-0.0, -0.0, 1.0]]),
+    ], ids=["1d-pair", "6d-se", "6d-matern", "negative-zeros"])
+    def test_retry_keeps_the_jittered_sum_bits(self, mat):
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky(mat, lower=True)
+        before = mat.copy()
+        L = chol_psd(mat)
+        assert L.tobytes() == cholesky(mat + JITTER * np.eye(mat.shape[0]), lower=True).tobytes()
+        assert mat.tobytes() == before.tobytes()
 
 
 class TestDataset:

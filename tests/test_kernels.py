@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import inspect
 import math
 import os
@@ -184,6 +185,63 @@ class TestMercer:
         # residual at x=x' equals the tail sum, and both sit under the bound
         assert np.allclose(resid, direct_tail, atol=1e-10)
         assert resid.max() <= tail_mass(fm, M, 64) + 1e-12
+
+
+def reference_walk(fm, M):
+    """(index, lambdas) of the best-first walk that pushes a tuple from each
+    of its parents, skipping the ones already seen, with np.prod products."""
+    per_dim = [ax.lambdas(M) for ax in fm._axes]
+    d = len(per_dim)
+    start = (0,) * d
+    heap = [(-float(np.prod([per_dim[i][0] for i in range(d)])), start)]
+    seen = {start}
+    rows, lams = [], []
+    while heap and len(rows) < M:
+        neg, idx = heapq.heappop(heap)
+        rows.append(idx)
+        lams.append(-neg)
+        for axis in range(d):
+            if idx[axis] + 1 >= M:
+                continue
+            nxt = idx[:axis] + (idx[axis] + 1,) + idx[axis + 1:]
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            heapq.heappush(heap, (-float(np.prod([per_dim[i][nxt[i]] for i in range(d)])), nxt))
+    return np.asarray(rows, dtype=int), np.asarray(lams)
+
+
+def walk_specs():
+    """(spec, M) pairs: anisotropic and isotropic (tied products) at d = 1, 2,
+    3, 6 and six sizes, then long lengthscales, whose per-axis eigenvalues
+    underflow to 0.0.  The last two pairs select products that tie at 0.0:
+    78 of them at d = 1, lengthscale 2.0, and 77 at d = 2, lengthscale 1e5."""
+    cases = []
+    for d in (1, 2, 3, 6):
+        for M in (1, 2, 3, 64, 257, 512):
+            cases.append((KernelSpec(family="se", dim=d,
+                                     lengthscales=tuple(0.2 + 0.15 * i for i in range(d))), M))
+            cases.append((se(dim=d, ls=0.3), M))
+    return cases + [(se(dim=2, ls=2.0), 257), (se(dim=2, ls=2.0), 512),
+                    (se(ls=2.0), 256), (se(dim=2, ls=1e5), 512)]
+
+
+class TestMercerWalk:
+    @pytest.mark.parametrize("spec, M", walk_specs(),
+                             ids=lambda v: f"M{v}" if isinstance(v, int) else
+                             f"d{v.dim}-" + "-".join(f"{ls:g}" for ls in v.lengthscales))
+    def test_walk_matches_the_seen_set_reference(self, spec, M):
+        # same tuples in the same order, same eigenvalue bits
+        fm = mercer_truncate(spec, M, [0.0] * spec.dim, [1.0] * spec.dim)
+        index, lams = reference_walk(fm, M)
+        assert fm._index.tobytes() == index.tobytes() and fm._index.shape == index.shape
+        assert fm.lambdas.tobytes() == (spec.variance * lams).tobytes()
+
+    def test_underflow_cases_tie_at_zero(self):
+        # the last two cases above do select products of 0.0
+        for (spec, M), zeros in zip(walk_specs()[-2:], (78, 77)):
+            fm = mercer_truncate(spec, M, [0.0] * spec.dim, [1.0] * spec.dim)
+            assert np.count_nonzero(fm.lambdas == 0.0) == zeros
 
 
 class TestRff:
