@@ -253,7 +253,7 @@ def random_search(bench: Benchmark, noise_var: float, budget: int, seed: int,
     The believed best after each batch is the queried point with the highest
     observed (noisy) value so far.
     """
-    from .engine import RunLog
+    from .engine import _NOISE_TAG, RunLog
 
     if budget < 1:
         raise InvalidInputError("budget must be at least 1")
@@ -271,7 +271,7 @@ def random_search(bench: Benchmark, noise_var: float, budget: int, seed: int,
         rng = rng_from_path(seed, t, 5050)
         X = rng.uniform(lo, hi, size=(batch_size, bench.dim))
         f_true = bench.evaluate(X)
-        y = f_true + noise.draw(rng_from_path(seed, t, 7777), batch_size)
+        y = f_true + noise.draw(rng_from_path(seed, t, _NOISE_TAG), batch_size)
         for b in range(batch_size):
             if y[b] > best_y:
                 best_y = float(y[b])

@@ -10,12 +10,13 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import util
 from .benchmarks import BENCHMARKS, certify, get_benchmark, random_search
-from .engine import RunConfig, parse_config, regret_bound, resolve_config, run_sgp_ts
+from .engine import RunConfig, parse_config, resolve_config, run_sgp_ts, step_regret_bound
 from .errors import InvalidInputError
 from .util import format_float
 from .verify import format_results, run_checks
@@ -133,14 +134,7 @@ def cmd_bound(args) -> int:
         lines = ["t,cum_regret,bound"]
         for s in steps:
             t = int(s["t"])
-            a_over = float(s["a_over_t"])
-            eps = float(s["eps_t"])
-            bound = regret_bound(
-                T=t, B=cfg.B, tau=cfg.tau, gamma_T=float(s["gamma_t"]),
-                beta_T=float(s["beta_t"]), alpha_T=float(s["alpha_t"]),
-                a_over=1.0 if math.isnan(a_over) else a_over,
-                eps=0.0 if math.isnan(eps) else eps, b_norm=cfg.b_norm,
-            )
+            bound = step_regret_bound(cfg, SimpleNamespace(**{k: float(v) for k, v in s.items()}))
             lines.append(f"{t},{format_float(cum_at[t])},{format_float(bound)}")
         _write(outdir / f"bound_seed{seed}.csv", "\n".join(lines) + "\n")
         print(f"seed {seed}: wrote {len(steps)} bound rows")

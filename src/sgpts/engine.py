@@ -32,7 +32,7 @@ from .kernels import (
     rff_sample,
     tail_mass,
 )
-from .sampling import _unit_halton, build_grid, derive_seed, select_batch
+from .sampling import _unit_halton, build_grid, select_batch
 from .svgp import (
     ApproxQuality,
     SvgpModel,
@@ -42,7 +42,7 @@ from .svgp import (
     select_inducing_kmeans,
     precision_sup_norm,
 )
-from .util import as_box, rng_from_path
+from .util import as_box, derive_seed, rng_from_path
 
 _NOISE_TAG = 7777
 _RFF_TAG = 909
@@ -357,6 +357,18 @@ def regret_bound(T: int, B: int, tau: float, gamma_T: float, beta_T: float,
     return term1 + term2 + 15.0 * B * b_norm + 2.0 * B
 
 
+def step_regret_bound(cfg: RunConfig, step) -> float:
+    """regret_bound through step.t of a run of the resolved cfg, from that
+    step's logged columns: step is a StepRecord, or any object with its t,
+    gamma_t, beta_t, alpha_t, a_over_t and eps_t.  Fixed alpha mode logs NaN
+    quality constants; a_over = 1 and eps = 0 stand in for them."""
+    return regret_bound(
+        T=step.t, B=cfg.B, tau=cfg.tau, gamma_T=step.gamma_t, beta_T=step.beta_t,
+        alpha_T=step.alpha_t, a_over=1.0 if math.isnan(step.a_over_t) else step.a_over_t,
+        eps=0.0 if math.isnan(step.eps_t) else step.eps_t, b_norm=cfg.b_norm,
+    )
+
+
 def growth_exponents(nu, d: int, variant: str) -> tuple[Fraction, Fraction]:
     """Exact growth exponents (for m and M) of the horizon power laws.
 
@@ -411,8 +423,7 @@ def believed_best(model: SvgpModel, candidates: np.ndarray, *,
     candidates = _as_points(model.spec.dim, candidates)
     if candidates.shape[0] == 0:
         raise InvalidInputError("no candidates to recommend from")
-    mean, _ = model.predict(candidates, F=F)
-    idx = int(np.argmax(mean))
+    idx = int(np.argmax(model.mean(candidates, F=F)))
     return candidates[idx], idx
 
 

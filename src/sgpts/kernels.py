@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedDecompositionError
-from .util import as_box, point_shares, rng_from_path, run_shares
+from .util import as_box, over_chunks, rng_from_path
 
 _MATERN_NUS = (1.5, 2.5)
 _MEMO_SLOTS = 2     # inputs whose feature matrices a FeatureMap remembers
@@ -303,27 +303,22 @@ class FeatureMap:
         # buffer, z^T into the sin rows and the odd map's shifted cosine into
         # the last row; then cos of the sin rows into the cos rows and sin in
         # place, every ufunc along contiguous rows.  No (n, M/2) phase matrix
-        # is made.  Threads fill the columns of util.point_shares' chunks, each
-        # with a buffer made here, as sampling._score does: made on a worker,
-        # it would stay resident in that thread's malloc arena.
+        # is made.  Threads fill the columns of util.over_chunks' chunks, each
+        # with its own phase buffer.
         sin, cos = rows[1 : 2 * n_pair : 2], rows[0 : 2 * n_pair : 2]
         freqs_t = self._freqs.T
-        shares = point_shares(X.shape[0])
-        bufs = [np.empty((min(max(hi - lo for lo, hi in spans), _COPY_BLOCK + 1), n_freq))
-                for spans in shares]
 
-        def fill(t: int) -> None:
-            for lo, hi in shares[t]:
-                for a, b in _blocks(lo, hi):
-                    z = np.matmul(X[a:b], freqs_t, out=bufs[t][: b - a])
-                    sin[:, a:b] = z[:, :n_pair].T
-                    if self.count % 2 == 1:
-                        np.cos(z[:, -1] + self._phase, out=rows[-1, a:b])
-                np.cos(sin[:, lo:hi], out=cos[:, lo:hi])
-                np.sin(sin[:, lo:hi], out=sin[:, lo:hi])
-                rows[:, lo:hi] *= self._amp
+        def fill(lo: int, hi: int, buf) -> None:
+            for a, b in _blocks(lo, hi):
+                z = np.matmul(X[a:b], freqs_t, out=buf[: b - a])
+                sin[:, a:b] = z[:, :n_pair].T
+                if self.count % 2 == 1:
+                    np.cos(z[:, -1] + self._phase, out=rows[-1, a:b])
+            np.cos(sin[:, lo:hi], out=cos[:, lo:hi])
+            np.sin(sin[:, lo:hi], out=sin[:, lo:hi])
+            rows[:, lo:hi] *= self._amp
 
-        run_shares(fill, len(shares))
+        over_chunks(X.shape[0], fill, (_COPY_BLOCK + 1, n_freq))
         return rows
 
 

@@ -34,22 +34,10 @@ with W = sqrt(lambda) w one row per draw (k x M), V one column per draw
 on an M <= 512 map is one product); each draw's values, and select_batch's
 argmax over them, lie along a contiguous row.
 
-The chunk rule (util.point_shares): n points form n // 4000 chunks
-(util._GRID_CHUNK) of near-equal size, at least one, so every chunk has at
-least 4000 points and a set under 8000 points is one chunk, scored as one
-product as before.  The boundaries depend on n alone.  The calling thread
-and a pool of worker threads, kept for the life of the process, take the
-chunks round-robin: one thread per CPU the process may run on, capped by
-SGPTS_THREADS (cli's multi-seed pool workers score on one thread each).
-Each thread writes only its own chunks' columns, so the values are the same
-bits for every thread count.  The RFF feature rows of a grid are filled in
-the same chunks.  Against one product over the whole set, W F_c and
-k(X_c, Z) keep their bits; U_c V keeps them at the pinned shapes (RFF
-M = 512, B = 20, m = 20 to 100, at 8000 and 40000 points).  Where B m is
-small, OpenBLAS may pick its GEMM kernel by the product's size, and a
-config whose B m is below the pinned ones may see (U_c V) move in its last
-bits against an unchunked product; at chunk widths of 1024 and 2048 that
-happened at m = 20 to 60, which is why a chunk has at least 4000 points.
+The chunks of points, and the threads that take them, are util.over_chunks',
+which documents why the values keep their bits; cli's multi-seed pool
+workers score on one thread each.  The RFF feature rows of a grid are
+filled in the same chunks.
 
 In a run, fm.features is asked for the candidate grid once per distinct
 grid (the grid stops changing once it is capped), so its memo keeps only the
@@ -67,9 +55,8 @@ model keeps its root, and FeatureMap.features remembers an input from its
 second request on, so the draws of one model share Phi(Z) and the features
 at a repeated X.
 
-Seed scheme: step seed = hash(run_seed, t), draw seed = hash(step_seed, b),
-with hash = the first output word of numpy's SeedSequence over the integer
-pair.  Identical paths give identical draws on every platform.
+Seed scheme (util.derive_seed): step seed = hash(run_seed, t), draw seed =
+hash(step_seed, b).  Identical paths give identical draws on every platform.
 """
 
 from __future__ import annotations
@@ -84,18 +71,10 @@ from scipy.linalg import cho_solve
 from .errors import InvalidInputError
 from .kernels import FeatureMap, _as_points, _features_at, kernel_matrix
 from .svgp import SvgpModel
-from .util import as_box, point_shares, run_shares
+from .util import as_box, derive_seed, over_chunks
 
 # most cells of W (M x draws) that DrawSetup.values scores in one product: 32 MiB
 _CHUNK_CELLS = 2 ** 22
-
-
-def derive_seed(*path: int) -> int:
-    """Deterministic 32-bit child seed for an integer key path."""
-    if not path:
-        raise InvalidInputError("seed path must be non-empty")
-    ss = np.random.SeedSequence([int(p) & 0xFFFFFFFF for p in path])
-    return int(ss.generate_state(1)[0])
 
 
 class DrawSetup:
@@ -175,29 +154,20 @@ class DrawSetup:
 
 def _score(model: SvgpModel, alpha: float, X: np.ndarray, F: np.ndarray, W: np.ndarray,
            V: np.ndarray, out: np.ndarray) -> None:
-    """Values of k draws at the rows of X into out (k x n), chunk by chunk.
-
-    The chunks and the threads that take them are util.point_shares(n).  Per
-    chunk c: the update basis U_c, k(X_c, Z) for points or the transpose of
-    F_c's leading m rows for features, then _on_basis into the chunk's
-    columns of out.  Each thread writes only its own columns, so the values
-    do not depend on the thread count.
+    """Values of k draws at the rows of X into out (k x n), in util.over_chunks'
+    chunks.  Per chunk c: the update basis U_c, k(X_c, Z) for points (into the
+    thread's scratch) or the transpose of F_c's leading m rows for features,
+    then _on_basis into the chunk's columns of out.
     """
-    n, points = X.shape[0], model.variant == "points"
-    shares = point_shares(n)
-    # each thread's U_c buffer is made here: made on a worker thread, it would
-    # stay resident in that thread's malloc arena between calls
-    width = max(hi - lo for spans in shares for lo, hi in spans)
-    bufs = [np.empty((width, model.m_count)) if points else None for _ in shares]
+    points = model.variant == "points"
 
-    def share(t: int) -> None:
-        for lo, hi in shares[t]:
-            F_c = F[:, lo:hi]
-            U_c = (kernel_matrix(model.spec, X[lo:hi], model.Z, out=bufs[t][: hi - lo])
-                   if points else F_c[: model.m_count].T)
-            _on_basis(F_c, U_c, alpha, W, V, out[:, lo:hi])
+    def chunk(lo: int, hi: int, buf) -> None:
+        F_c = F[:, lo:hi]
+        U_c = (kernel_matrix(model.spec, X[lo:hi], model.Z, out=buf[: hi - lo])
+               if points else F_c[: model.m_count].T)
+        _on_basis(F_c, U_c, alpha, W, V, out[:, lo:hi])
 
-    run_shares(share, len(shares))
+    over_chunks(X.shape[0], chunk, (X.shape[0], model.m_count) if points else None)
 
 
 def _on_basis(F: np.ndarray, U: np.ndarray, alpha: float, W: np.ndarray, V: np.ndarray,
@@ -249,7 +219,7 @@ def decoupled_mean_cov(
     """
     setup = DrawSetup(model, fm, alpha)
     X = _as_points(fm.dim, X)
-    mean = model.predict(X)[0]
+    mean = model.mean(X)
     F = fm.features(X)
     lam = fm.lambdas
     if model.variant == "points":

@@ -180,6 +180,10 @@ class SvgpModel:
         var = self.spec.variance - np.sum(V * V, axis=0) + np.sum(W * W, axis=0)
         return C.T @ self._a, clamp_variance(var)
 
+    def mean(self, X, *, F: Optional[np.ndarray] = None) -> np.ndarray:
+        """predict's posterior mean alone, with its bits: no variance solves."""
+        return self._cross(_as_points(self.spec.dim, X), F).T @ self._a
+
     def cov(self, X) -> np.ndarray:
         """Posterior covariance matrix at the rows of X."""
         X = _as_points(self.spec.dim, X)
@@ -250,24 +254,21 @@ def trace_residual(data: Dataset, model: SvgpModel) -> float:
     return max(float(np.sum(model.nystrom_residual(data.X))), 0.0)
 
 
-def kl_to_exact(data: Dataset, model: SvgpModel, grid=None) -> float:
-    """KL(approximate || exact) for function values at the training inputs.
-
-    Extra evaluation points may be appended through grid; the certificate
-    theta / tau applies to the training-input marginal.  A 1e-12 jitter is
+def kl_to_exact(data: Dataset, model: SvgpModel) -> float:
+    """KL(approximate || exact) for function values at the training inputs,
+    the marginal the certificate theta / tau applies to.  A 1e-12 jitter is
     added equally to both covariances so the KL stays finite when the
     approximate covariance is rank-deficient; it is this audit's own and
     separate from the retry jitter of the factorizations.
     """
     if data.n == 0:
         return 0.0
-    P = data.X if grid is None else np.vstack([data.X, np.atleast_2d(grid)])
+    X, p = data.X, data.n
     exact = fit_exact(data, model.spec, model.tau)
-    mu_e = exact.predict(P)[0]
-    cov_e = exact.cov(P)
-    mu_a, _ = model.predict(P)
-    cov_a = model.cov(P)
-    p = P.shape[0]
+    mu_e = exact.predict(X)[0]
+    cov_e = exact.cov(X)
+    mu_a = model.mean(X)
+    cov_a = model.cov(X)
     jit = 1e-12 * np.eye(p)
     cE = chol_psd(cov_e + jit)
     cA = chol_psd(cov_a + jit)

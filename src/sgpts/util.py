@@ -1,8 +1,8 @@
-"""Shared numerics and deterministic seed derivation.
+"""Shared numerics, deterministic seed derivation and the grid's chunked threads.
 
 Seed scheme: every random stream is keyed by an integer path that starts at
 the run seed, hashed through ``numpy.random.SeedSequence``: ``rng_from_path``
-turns a path into a generator, ``sampling.derive_seed`` into a 32-bit seed.
+turns a path into a generator, ``derive_seed`` into a 32-bit seed.
 ``engine.run_sgp_ts`` keys its streams as follows:
 
 * draw b of step t: ``default_rng(derive_seed(derive_seed(run_seed, t), b))``;
@@ -26,15 +26,13 @@ from .errors import InvalidInputError, NumericalDegeneracyError
 JITTER = 1e-10
 
 
-def thread_cap(default: int) -> int:
-    """SGPTS_THREADS when it holds a positive integer, else default."""
-    cap = os.environ.get("SGPTS_THREADS", "")
-    return int(cap) if cap.isdigit() and int(cap) > 0 else default
-
-
-# fewest points in a chunk of a grid that threads share; below about 4000
-# points OpenBLAS may take another kernel for a draw's U_c V, and its values
-# move in their last bits
+# fewest points in a chunk of a grid that threads share.  Against one product
+# over the whole grid, a chunk's W F_c and k(X_c, Z) keep their bits, and so
+# does a draw's U_c V at the pinned shapes (RFF M = 512, B = 20, m = 20 to
+# 100, at 8000 and 40000 points).  OpenBLAS may pick its GEMM kernel by a
+# product's size: at chunk widths of 1024 and 2048, U_c V moved in its last
+# bits at m = 20 to 60, and a config whose B m is below the pinned ones may
+# still see that against an unchunked product
 _GRID_CHUNK = 4000
 
 
@@ -44,31 +42,43 @@ def _cpus() -> int:
 
 
 def _grid_threads() -> int:
-    """Threads that work on a grid, the calling one included: _cpus() capped
-    by SGPTS_THREADS, read on every call."""
-    cpus = _cpus()
-    return min(cpus, thread_cap(cpus))
+    """Threads that work on a grid, the calling one included: _cpus(), capped
+    by SGPTS_THREADS when it holds a positive integer, read on every call."""
+    cpus, cap = _cpus(), os.environ.get("SGPTS_THREADS", "")
+    return min(cpus, int(cap)) if cap.isdigit() and int(cap) > 0 else cpus
 
 
-def point_shares(n: int) -> list:
-    """The chunks of range(n) as (lo, hi) pairs, dealt to threads: share t
-    holds chunks t, t + T, t + 2T, ...
+def over_chunks(n: int, fn, scratch: tuple | None = None) -> None:
+    """fn(lo, hi, buf) for every chunk range(lo, hi) of range(n), across threads.
 
-    There are n // _GRID_CHUNK chunks of near-equal size, at least one, with
-    boundaries that depend on n alone; T = min(chunks, _grid_threads()).
+    The chunks: n // _GRID_CHUNK spans of near-equal size, at least one, so
+    every chunk has at least _GRID_CHUNK points and a set under twice that is
+    one chunk.  Their bounds depend on n alone.  The threads: the calling one
+    and T - 1 of the process's pool, T = min(chunks, _grid_threads()); thread
+    t takes chunks t, t + T, t + 2T, ...  When each call writes only its own
+    chunk's part of the result, the result has the same bits for every
+    thread count.
+
+    buf is None, or with scratch = (rows, cols) the thread's own buffer of
+    shape (min(rows, widest chunk), cols).  The buffers are made here, on
+    the calling thread: made on a worker, a buffer would stay resident in
+    that thread's malloc arena between calls.  Returns once every call is
+    done, raising the first error.
     """
     k = max(1, n // _GRID_CHUNK)
     spans = [(i * n // k, (i + 1) * n // k) for i in range(k)]
-    threads = min(k, _grid_threads()) if k > 1 else 1
-    return [spans[t::threads] for t in range(threads)]
+    threads = min(k, _grid_threads())
+    width = max(hi - lo for lo, hi in spans)
+    bufs = [None if scratch is None else np.empty((min(scratch[0], width), scratch[1]))
+            for _ in range(threads)]
 
+    def share(t: int) -> None:
+        for lo, hi in spans[t::threads]:
+            fn(lo, hi, bufs[t])
 
-def run_shares(fn, count: int) -> None:
-    """fn(t) for every t < count: t = 0 on the calling thread, the rest on the
-    process's pool.  Returns once every call is done, raising the first error."""
-    futures = [_pool.submit(fn, t) for t in range(1, count)]
+    futures = [_pool.submit(share, t) for t in range(1, threads)]
     try:
-        fn(0)
+        share(0)
     finally:
         for f in futures:
             f.exception()   # waits: no worker may still write after the return
@@ -93,11 +103,21 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_renew_pool)
 
 
-def rng_from_path(*path: int) -> np.random.Generator:
-    """Deterministic generator for an integer key path."""
+def _seed_sequence(path: tuple) -> np.random.SeedSequence:
+    """The SeedSequence of an integer key path, each key masked to 32 bits."""
     if not path:
         raise InvalidInputError("seed path must be non-empty")
-    return np.random.default_rng(np.random.SeedSequence([int(p) & 0xFFFFFFFF for p in path]))
+    return np.random.SeedSequence([int(p) & 0xFFFFFFFF for p in path])
+
+
+def rng_from_path(*path: int) -> np.random.Generator:
+    """Deterministic generator for an integer key path."""
+    return np.random.default_rng(_seed_sequence(path))
+
+
+def derive_seed(*path: int) -> int:
+    """Deterministic 32-bit child seed for an integer key path."""
+    return int(_seed_sequence(path).generate_state(1)[0])
 
 
 def chol_psd(mat: np.ndarray):

@@ -18,7 +18,7 @@ import numpy as np
 
 from sgpts import verify
 from sgpts.benchmarks import get_benchmark, random_search
-from sgpts.engine import RunConfig, regret_bound, resolve_config, run_sgp_ts
+from sgpts.engine import RunConfig, resolve_config, run_sgp_ts, step_regret_bound
 from sgpts.exact_gp import batch_sigma_bound, fit_exact
 from sgpts.kernels import KernelSpec, tail_mass
 from sgpts.sampling import decoupled_mean_cov
@@ -155,13 +155,7 @@ def test_criterion_08_theory_bound_dominance():
         for s in log.steps:
             if not math.isnan(s.kappa_t):
                 kappa_max = max(kappa_max, s.kappa_t)
-            b = regret_bound(
-                T=s.t, B=rcfg.B, tau=rcfg.tau, gamma_T=s.gamma_t, beta_T=s.beta_t,
-                alpha_T=s.alpha_t,
-                a_over=1.0 if math.isnan(s.a_over_t) else s.a_over_t,
-                eps=0.0 if math.isnan(s.eps_t) else s.eps_t, b_norm=rcfg.b_norm,
-            )
-            worst_margin = min(worst_margin, b - cum_at[s.t])
+            worst_margin = min(worst_margin, step_regret_bound(rcfg, s) - cum_at[s.t])
     ok = aborted == 0 and kappa_max < 1.0 / 3.0 and worst_margin >= 0.0
     _gate(8, "theory-bound-dominance", ok,
           f"kappa max {kappa_max:.3f} (< 1/3), worst bound margin {worst_margin:.2f}, "

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,12 +28,13 @@ from sgpts.engine import (
     resolve_config,
     run_sgp_ts,
     schedule_alpha,
+    step_regret_bound,
 )
 from sgpts.errors import ConfigError, InvalidInputError, ScheduleUndefinedError
 from sgpts.exact_gp import Dataset, batch_sigma_bound, gamma_bound
 from sgpts.kernels import FeatureMap, KernelSpec, mercer_truncate
 from sgpts.sampling import DrawSetup, _unit_halton, build_grid, select_batch
-from sgpts.svgp import fit_svgp_closed_form, select_inducing_greedy
+from sgpts.svgp import SvgpModel, fit_svgp_closed_form, select_inducing_greedy
 from sgpts.util import as_box, rng_from_path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -340,6 +342,17 @@ class TestRegretBound:
             regret_bound(5, 2, 0.5, -1.0, 2.0, 1.0, 1.2, 0.1, 1.5)
 
 
+    def test_step_bound_reads_nan_quality_as_one_and_zero(self):
+        cfg = SimpleNamespace(B=2, tau=0.5, b_norm=1.5)
+        step = SimpleNamespace(t=5, gamma_t=3.0, beta_t=2.0, alpha_t=1.0,
+                               a_over_t=math.nan, eps_t=math.nan)
+        assert step_regret_bound(cfg, step) == regret_bound(5, 2, 0.5, 3.0, 2.0, 1.0,
+                                                            1.0, 0.0, 1.5)
+        step.a_over_t, step.eps_t = 1.2, 0.1
+        assert step_regret_bound(cfg, step) == regret_bound(5, 2, 0.5, 3.0, 2.0, 1.0,
+                                                            1.2, 0.1, 1.5)
+
+
 class TestGrowthSchedule:
     def test_se_log_plug(self):
         assert growth_schedule("se", None, 1, math.e**3, "points") == (3, 3)
@@ -414,6 +427,21 @@ class TestBelievedBest:
                                      Z=np.array([[0.5]]))
         with pytest.raises(InvalidInputError):
             believed_best(model, np.zeros((0, 1)))
+
+    @pytest.mark.parametrize("variant", ["points", "features"])
+    def test_reads_the_mean_alone_with_predict_bits(self, monkeypatch, variant):
+        spec = KernelSpec(family="se", dim=1, lengthscales=(0.2,))
+        rng = np.random.default_rng(7)
+        data = Dataset(rng.uniform(size=(30, 1)), rng.normal(size=30), 1, 30)
+        fm = mercer_truncate(spec, 64, [0.0], [1.0])
+        model = (fit_svgp_closed_form(data, spec, 0.1, Z=data.X[:10]) if variant == "points"
+                 else fit_svgp_closed_form(data, spec, 0.1, feature_map=fm, m=20))
+        cands = rng.uniform(size=(300, 1))
+        want = model.predict(cands)[0]
+        assert np.array_equal(model.mean(cands), want)
+        assert np.array_equal(model.mean(cands, F=fm.features(cands)), want)
+        monkeypatch.setattr(SvgpModel, "predict", None)
+        assert believed_best(model, cands)[1] == int(np.argmax(want))
 
 
 class TestObservedFeatures:

@@ -576,7 +576,7 @@ ROW_MAPS = {
 
 
 class TestFeatureRowChunks:
-    """Grids of 8000 points or more fill their RFF rows in util.point_shares'
+    """Grids of 8000 points or more fill their RFF rows in util.over_chunks'
     chunks, spread over threads; the rows must equal one chunk's bit for bit."""
 
     @pytest.mark.parametrize("n, count", [(8000, 512), (8000, 129), (40001, 129)])

@@ -1,0 +1,90 @@
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from sgpts import util
+
+
+def reference_shares(n, threads):
+    """The chunks of range(n) dealt to threads as util.over_chunks deals them:
+    n // 4000 spans, at least one, bounds set by n alone, and share t holding
+    chunks t, t + T, t + 2T, ... for T = min(chunks, threads)."""
+    k = max(1, n // 4000)
+    spans = [(i * n // k, (i + 1) * n // k) for i in range(k)]
+    count = min(k, threads) if k > 1 else 1
+    return [spans[t::count] for t in range(count)]
+
+
+class TestOverChunks:
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 3999, 8000, 12289, 40001])
+    def test_spans_and_deal(self, monkeypatch, n, threads):
+        # each share has its own buffer, so the buffer names the share
+        # whichever thread runs it; share 0 runs on the calling thread
+        monkeypatch.setattr(util, "_grid_threads", lambda: threads)
+        calls = []
+        util.over_chunks(n, lambda lo, hi, buf: calls.append(
+            (id(buf), threading.get_ident(), buf.shape, lo, hi)), scratch=(n, 3))
+        want = reference_shares(n, threads)
+        by_buf = {}
+        for key, thread, shape, lo, hi in calls:
+            by_buf.setdefault(key, []).append((thread, shape, (lo, hi)))
+        shares = sorted([span for _, _, span in share] for share in by_buf.values())
+        assert shares == sorted(want)
+        first = next(s for s in by_buf.values() if [span for *_, span in s] == want[0])
+        assert {thread for thread, _, _ in first} == {threading.get_ident()}
+        width = max(hi - lo for spans in want for lo, hi in spans)
+        assert {shape for s in by_buf.values() for _, shape, _ in s} == {(width, 3)}
+
+    def test_scratch_rows_are_capped(self, monkeypatch):
+        monkeypatch.setattr(util, "_grid_threads", lambda: 2)
+        shapes = []
+        util.over_chunks(8000, lambda lo, hi, buf: shapes.append(buf.shape), scratch=(129, 5))
+        assert shapes == [(129, 5)] * 2
+        nones = []
+        util.over_chunks(8000, lambda lo, hi, buf: nones.append(buf))
+        assert nones == [None, None]
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(util, "_grid_threads", lambda: 2)
+        caller, done = threading.get_ident(), []
+
+        def fn(lo, hi, buf):
+            if lo == 4000 and threading.get_ident() != caller:
+                raise ValueError("chunk 1")
+            done.append(lo)
+
+        with pytest.raises(ValueError, match="chunk 1"):
+            util.over_chunks(8000, fn)
+        assert done == [0]
+
+    def test_caller_error_waits_for_the_workers(self, monkeypatch):
+        monkeypatch.setattr(util, "_grid_threads", lambda: 2)
+        out = np.zeros(8000)
+
+        def fn(lo, hi, buf):
+            if lo == 0:
+                raise ValueError("chunk 0")
+            time.sleep(0.2)
+            out[lo:hi] = 1.0
+
+        with pytest.raises(ValueError, match="chunk 0"):
+            util.over_chunks(8000, fn)
+        assert not out[:4000].any() and out[4000:].all()
+
+    def test_scratch_is_made_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(util, "_grid_threads", lambda: 3)
+        makers, empty = [], np.empty
+
+        def counted(*args, **kwargs):
+            makers.append(threading.get_ident())
+            return empty(*args, **kwargs)
+
+        monkeypatch.setattr(util.np, "empty", counted)
+        threads = []
+        util.over_chunks(12289, lambda lo, hi, buf: threads.append(threading.get_ident()),
+                         scratch=(12289, 4))
+        assert makers == [threading.get_ident()] * 3
+        assert len(threads) == 3 and len(set(threads)) >= 2
