@@ -496,15 +496,15 @@ def run_sgp_ts(cfg: RunConfig, bench: Benchmark, seed: int) -> RunLog:
         if cfg.gamma_mode == "realized":
             gamma_t = information_gain(data, spec, cfg.tau)
         else:
-            gamma_t = gamma_bound(spec, max(2.0, float(data.n)), bench.dim)
+            gamma_t = gamma_bound(spec, max(2.0, float(data.n)))
         quality = None
         if cfg.alpha_mode == "theoretical":
             c1_run = max(c1_run, precision_sup_norm(model))
             # conservative stand-in for the spectral mass past the sampler's
             # truncation: the last computed term plus its geometric continuation
-            delta_M = tail_mass(fm, fm.count - 1, fm.count)
+            delta_M = tail_mass(fm, fm.count - 1)
             # the t = 1 model is the prior: no defect and no eps0, so kappa = 0
-            delta_m, eps0 = (0.0, 0.0) if t == 1 else (_variance_defect(model, fm, data), cfg.eps0)
+            delta_m, eps0 = (0.0, 0.0) if t == 1 else (_variance_defect(model, data), cfg.eps0)
             try:
                 quality = approximation_constants(
                     max(t - 1, 1), cfg.B, model.m_count, cfg.tau, cfg.delta,
@@ -546,8 +546,8 @@ def run_sgp_ts(cfg: RunConfig, bench: Benchmark, seed: int) -> RunLog:
     return log
 
 
-def _variance_defect(model: SvgpModel, fm: FeatureMap, data: Dataset) -> float:
+def _variance_defect(model: SvgpModel, data: Dataset) -> float:
     """Largest pointwise prior-variance shortfall of the rank-m approximation."""
     if model.variant == "features":
-        return tail_mass(fm, model.m_count, fm.count)
+        return tail_mass(model.feature_map, model.m_count)
     return float(max(np.max(model.nystrom_residual(data.X)), 0.0))

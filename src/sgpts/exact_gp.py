@@ -151,8 +151,6 @@ def fit_exact(data: Dataset, spec: KernelSpec, tau: float) -> ExactPosterior:
 
 def information_gain(data: Dataset, spec: KernelSpec, tau: float) -> float:
     """Realized information gain (1/2) log det(I + K / tau) of the observed inputs."""
-    if data.n == 0:
-        return 0.0
     return information_gain_points(data.X, spec, tau)
 
 
@@ -172,16 +170,15 @@ def information_gain_points(X: np.ndarray, spec: KernelSpec, tau: float) -> floa
     return float(np.sum(np.log(np.diag(L))))
 
 
-def gamma_bound(spec: KernelSpec, s: float, d: int) -> float:
+def gamma_bound(spec: KernelSpec, s: float) -> float:
     """Growth envelope for the maximal information gain after s observations.
 
-    Unit-constant forms: (log s)^(d+1) for SE, s^(d/(2 nu + d)) log s for
-    Matern.  Meaningful only for s >= 2 so the logarithm is positive.
+    Unit-constant forms, d = spec.dim: (log s)^(d+1) for SE, s^(d/(2 nu + d))
+    log s for Matern.  Meaningful only for s >= 2 so the logarithm is positive.
     """
     if s < 2:
         raise InvalidInputError("envelope defined for s >= 2")
-    if d < 1:
-        raise InvalidInputError("d must be >= 1")
+    d = spec.dim
     if spec.family == "se":
         return math.log(s) ** (d + 1)
     return s ** (d / (2.0 * spec.nu + d)) * math.log(s)

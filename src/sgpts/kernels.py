@@ -250,7 +250,6 @@ class FeatureMap:
     """
 
     kind: str
-    count: int
     dim: int
     lambdas: np.ndarray
     sup_bounds: np.ndarray
@@ -262,6 +261,14 @@ class FeatureMap:
     _amp: float = field(default=0.0, repr=False)
     # [key, matrix or None] per remembered input, most recent first
     _memo: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if np.shape(self.sup_bounds) != (self.count,):
+            raise InvalidInputError("sup_bounds must hold one bound per lambda")
+
+    @property
+    def count(self) -> int:
+        return self.lambdas.shape[0]
 
     def features(self, X) -> np.ndarray:
         """The features at the points X, one row per feature: (count, n), read-only."""
@@ -403,7 +410,6 @@ def mercer_truncate(spec: KernelSpec, M: int, lower, upper) -> FeatureMap:
 
     return FeatureMap(
         kind="mercer",
-        count=len(index_rows),
         dim=spec.dim,
         lambdas=lambdas,
         sup_bounds=sup,
@@ -433,7 +439,6 @@ def rff_sample(spec: KernelSpec, M: int, seed: int) -> FeatureMap:
     amp = math.sqrt(2.0 * spec.variance / M)
     return FeatureMap(
         kind="rff",
-        count=M,
         dim=spec.dim,
         lambdas=np.ones(M),
         sup_bounds=np.full(M, amp),
@@ -444,21 +449,20 @@ def rff_sample(spec: KernelSpec, M: int, seed: int) -> FeatureMap:
     )
 
 
-def tail_mass(fm: FeatureMap, M: int, cap: int) -> float:
+def tail_mass(fm: FeatureMap, M: int) -> float:
     """Upper bound on sum_{j>M} lambda_j sup|phi_j|^2.
 
-    Sums the computed spectrum from M+1 through cap, then closes the series
-    with a geometric continuation: the last term times r/(1-r) where r is the
-    final observed term ratio.  Only defined for Mercer maps.
+    Sums the computed spectrum from M+1 on, then closes the series with a
+    geometric continuation: the last term times r/(1-r) where r is the final
+    observed term ratio.  Only defined for Mercer maps.
     """
     if fm.kind != "mercer":
         raise UnsupportedDecompositionError("tail mass requires an eigen-expansion map")
+    cap = fm.count
     if not (0 <= M < cap):
-        raise InvalidInputError("need 0 <= M < cap")
-    if cap > fm.count:
-        raise InvalidInputError(f"cap {cap} exceeds computed spectrum size {fm.count}")
-    terms = fm.lambdas[:cap] * fm.sup_bounds[:cap] ** 2
-    body = float(np.sum(terms[M:cap]))
+        raise InvalidInputError(f"need 0 <= M < {cap}, the computed spectrum size")
+    terms = fm.lambdas * fm.sup_bounds ** 2
+    body = float(np.sum(terms[M:]))
     if cap >= 2:
         r = terms[cap - 1] / terms[cap - 2]
         if not (0.0 < r < 1.0):

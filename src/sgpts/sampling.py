@@ -115,7 +115,7 @@ class DrawSetup:
             rootlam_w[j] = rng.standard_normal(self.fm.count)
             xi[j] = rng.standard_normal(m)
         rootlam_w *= self.rootlam
-        u = model.m_vec + xi @ model._s_root().T
+        u = model.m_vec + xi @ model._s_root.T
         centered = alpha * (u - model.m_vec) + model.m_vec
         if model.variant == "points":
             # alpha scales Phi, as in the single-draw rootlam_w @ (alpha * Phi):

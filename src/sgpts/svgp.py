@@ -35,10 +35,11 @@ for ill-conditioned grams.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -79,7 +80,7 @@ class SvgpModel:
     G^T G with G = L_S^{-1} P.
 
     Draws read m_vec, S_mat through its root S = R R^T (from eigh(S), which
-    _s_root computes on the model's first draw and keeps in _S_root) and
+    _s_root computes on the model's first draw and keeps) and
     _chol_P through cho_solve, and the believed-best pick reads _a, so run
     logs carry their exact bits.  The fit therefore keeps m_vec = P (Sigma^{-1} C y) / tau,
     S_mat = P Sigma^{-1} P with an explicit Sigma^{-1}, _a = Sigma^{-1} C y
@@ -98,8 +99,6 @@ class SvgpModel:
     _a: Optional[np.ndarray] = None
     _chol_P: Optional[np.ndarray] = None
     _chol_Sigma: Optional[np.ndarray] = None
-    # not an init field, so that a model made by dataclasses.replace computes its own
-    _S_root: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.Z is None) == (self.feature_map is None):
@@ -134,12 +133,12 @@ class SvgpModel:
             G = solve_triangular(chol_psd(self.S_mat), P, lower=True)
             self._chol_Sigma = chol_psd(G.T @ G)
 
+    @functools.cached_property
     def _s_root(self) -> np.ndarray:
-        """R with S = R R^T from eigh(S), computed on the first call and kept."""
-        if self._S_root is None:
-            vals, vecs = np.linalg.eigh(self.S_mat)
-            self._S_root = vecs * np.sqrt(np.maximum(vals, 0.0))
-        return self._S_root
+        """R with S = R R^T from eigh(S), kept after the first read.  Not a field,
+        so a model made by dataclasses.replace computes its own."""
+        vals, vecs = np.linalg.eigh(self.S_mat)
+        return vecs * np.sqrt(np.maximum(vals, 0.0))
 
     @property
     def variant(self) -> str:
@@ -169,13 +168,10 @@ class SvgpModel:
         V = solve_triangular(self._chol_P, self._cross(X), lower=True)
         return self.spec.variance - np.sum(V * V, axis=0)
 
-    def predict(self, X, *, F: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and variance at each row of X.
-
-        F, when given, is feature_map.features(X); only the features variant reads it.
-        """
+    def predict(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and variance at each row of X."""
         X = _as_points(self.spec.dim, X)
-        C = self._cross(X, F)
+        C = self._cross(X)
         V, W = self._whiten(C)
         var = self.spec.variance - np.sum(V * V, axis=0) + np.sum(W * W, axis=0)
         return C.T @ self._a, clamp_variance(var)
@@ -375,8 +371,6 @@ class ApproxQuality:
     a_under: float
     a_over: float
     eps: float
-    delta_m: float
-    delta_M: float
 
 
 def approximation_constants(
@@ -423,8 +417,6 @@ def approximation_constants(
         a_under=1.0 / math.sqrt(1.0 - root),
         a_over=math.sqrt(1.0 + root),
         eps=math.sqrt(prec_norm * m_t * delta_M),
-        delta_m=delta_m,
-        delta_M=delta_M,
     )
 
 

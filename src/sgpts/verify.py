@@ -40,8 +40,9 @@ def _timed(name, fn):
     return CheckResult(name, bool(ok), detail, time.monotonic() - t0)
 
 
-def _feature_instance(rng, n=12, m=14, tau=0.5):
+def _feature_instance(rng):
     """Feature-variant fit on separated inputs; the shared audit family."""
+    n, m, tau = 12, 14, 0.5
     spec = KernelSpec(family="se", dim=1, lengthscales=(0.25,))
     fm = mercer_truncate(spec, 128, [0.0], [1.0])
     X = np.linspace(0.04, 0.96, n).reshape(-1, 1) + rng.uniform(-0.02, 0.02, (n, 1))
@@ -142,16 +143,15 @@ def check_sampler_moments(n_draws: int = 20_000) -> tuple[bool, str]:
 def check_kl_certificate(instances: int = 10) -> tuple[bool, str]:
     """Feature-variant KL under its trace budget, at a valid sizing (criterion 04)."""
     rng = rng_from_path(404, 4)
-    tau = 0.5
     worst_margin = -np.inf
     worst_size = 0.0
     for _ in range(instances):
-        data, spec, fm, model = _feature_instance(rng, tau=tau)
-        delta_m = tail_mass(fm, model.m_count, fm.count)
-        worst_size = max(worst_size, 2.0 * data.n * delta_m / tau)
+        data, spec, fm, model = _feature_instance(rng)
+        delta_m = tail_mass(fm, model.m_count)
+        worst_size = max(worst_size, 2.0 * data.n * delta_m / model.tau)
         kl = kl_to_exact(data, model)
         theta = trace_residual(data, model)
-        worst_margin = max(worst_margin, kl - theta / tau)
+        worst_margin = max(worst_margin, kl - theta / model.tau)
     ok = worst_size < 0.1 and worst_margin <= 0.0
     return ok, (f"sizing max {worst_size:.2e} (< 0.1), "
                 f"worst KL minus budget {worst_margin:.2e}")

@@ -61,11 +61,11 @@ def test_criterion_05_assumption_audit():
     tiny = 1e-9
     passed = 0
     for _ in range(20):
-        data, spec, fm, model = verify._feature_instance(rng, tau=tau)
+        data, spec, fm, model = verify._feature_instance(rng)
         q = approximation_constants(
             t=data.n, B=1, m_t=model.m_count, tau=tau, delta=0.05,
-            delta_m=tail_mass(fm, model.m_count, fm.count),
-            delta_M=tail_mass(fm, fm.count - 1, fm.count),
+            delta_m=tail_mass(fm, model.m_count),
+            delta_M=tail_mass(fm, fm.count - 1),
             prec_norm=precision_sup_norm(model), variant="features",
         )
         exact = fit_exact(data, spec, tau)

@@ -198,6 +198,14 @@ class TestInformationGain:
         spec = KernelSpec(family="se", dim=1, lengthscales=(0.5,))
         assert information_gain(Dataset.empty(1, 1), spec, 0.1) == 0.0
 
+    @pytest.mark.parametrize("tau", [0.0, -0.1])
+    def test_nonpositive_tau_rejected_on_empty_data(self, tau):
+        spec = KernelSpec(family="se", dim=1, lengthscales=(0.5,))
+        with pytest.raises(InvalidInputError, match="tau"):
+            information_gain(Dataset.empty(1, 1), spec, tau)
+        with pytest.raises(InvalidInputError, match="tau"):
+            information_gain_points(np.empty((0, 1)), spec, tau)
+
     def test_flat_points_read_as_kernel_matrix_reads_them(self):
         # a flat array of 1-d points, and one 2-d point given flat
         se1 = KernelSpec(family="se", dim=1, lengthscales=(0.5,))
@@ -224,17 +232,17 @@ class TestInformationGain:
 class TestEnvelopes:
     def test_se_envelope_value(self):
         spec = KernelSpec(family="se", dim=1, lengthscales=(0.5,))
-        assert np.isclose(gamma_bound(spec, math.e ** 2, 1), 4.0, atol=1e-12)
+        assert np.isclose(gamma_bound(spec, math.e ** 2), 4.0, atol=1e-12)
 
     def test_matern_envelope_value(self):
         spec = KernelSpec(family="matern", dim=1, lengthscales=(0.5,), nu=2.5)
         want = 64 ** (1.0 / 6.0) * math.log(64)
-        assert np.isclose(gamma_bound(spec, 64, 1), want, atol=1e-12)
+        assert np.isclose(gamma_bound(spec, 64), want, atol=1e-12)
 
     def test_small_s_rejected(self):
         spec = KernelSpec(family="se", dim=1, lengthscales=(0.5,))
         with pytest.raises(InvalidInputError):
-            gamma_bound(spec, 1.5, 1)
+            gamma_bound(spec, 1.5)
 
     def test_envelope_eventually_dominates_realized(self):
         # realized gain on a fixed grid grows slower than the envelope
@@ -243,7 +251,7 @@ class TestEnvelopes:
         X = rng.uniform(0, 1, size=(200, 1))
         data = Dataset(X, np.zeros(200), 1, 200)
         realized = information_gain(data, spec, 0.5)
-        assert realized <= gamma_bound(spec, 200, 1) * 10  # sanity scale check
+        assert realized <= gamma_bound(spec, 200) * 10  # sanity scale check
 
 
 class TestConcentrationRadius:

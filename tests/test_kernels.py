@@ -184,7 +184,7 @@ class TestMercer:
         direct_tail = np.sum(fm.lambdas[M:] * F[:, M:] ** 2, axis=1)
         # residual at x=x' equals the tail sum, and both sit under the bound
         assert np.allclose(resid, direct_tail, atol=1e-10)
-        assert resid.max() <= tail_mass(fm, M, 64) + 1e-12
+        assert resid.max() <= tail_mass(fm, M) + 1e-12
 
 
 def reference_walk(fm, M):
@@ -294,7 +294,6 @@ class TestTailMass:
         lam = 2.0 ** -np.arange(count)
         return FeatureMap(
             kind="mercer",
-            count=count,
             dim=1,
             lambdas=lam,
             sup_bounds=np.ones(count),
@@ -303,29 +302,35 @@ class TestTailMass:
     def test_geometric_series_closes_to_one(self):
         # lambda_j = 2^-(j-1), sup=1, M=1: body 1 - 2^-59 plus remainder 2^-59
         fm = self.geometric_map()
-        assert tail_mass(fm, 1, 60) == 1.0
+        assert tail_mass(fm, 1) == 1.0
 
     def test_monotone_in_m(self):
         fm = self.geometric_map()
-        vals = [tail_mass(fm, M, 60) for M in range(1, 12)]
+        vals = [tail_mass(fm, M) for M in range(1, 12)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_real_map_tail_bounds_truncation(self):
         fm = mercer_truncate(se(ls=0.35), 80, [0.0], [1.0])
-        tm = tail_mass(fm, 12, 80)
+        tm = tail_mass(fm, 12)
         direct = np.sum(fm.lambdas[12:] * fm.sup_bounds[12:] ** 2)
         assert tm >= direct > 0
 
     def test_rff_rejected(self):
         with pytest.raises(UnsupportedDecompositionError):
-            tail_mass(rff_sample(se(), 16, seed=0), 4, 16)
+            tail_mass(rff_sample(se(), 16, seed=0), 4)
 
     def test_bad_ranges(self):
         fm = self.geometric_map()
         with pytest.raises(InvalidInputError):
-            tail_mass(fm, 10, 10)
+            tail_mass(fm, fm.count)
         with pytest.raises(InvalidInputError):
-            tail_mass(fm, 1, 61)
+            tail_mass(fm, -1)
+
+    def test_sup_bounds_length_checked(self):
+        lam = 2.0 ** -np.arange(60)
+        for sup in (np.ones(1), np.ones(59), np.ones((60, 1))):
+            with pytest.raises(InvalidInputError, match="sup_bounds"):
+                FeatureMap(kind="mercer", dim=1, lambdas=lam, sup_bounds=sup)
 
 
 # Column-at-a-time feature maps: the expressions the in-place, row-major

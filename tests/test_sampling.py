@@ -259,7 +259,7 @@ class TestAnalyticCovariance:
         post_var = model.predict(X)[1]
         defect = post_var - np.diag(cov)
         assert np.all(defect >= -1e-10)
-        assert defect.max() <= tail_mass(fm, 96 - 1, 96) + 1e-8 or defect.max() <= 1e-6
+        assert defect.max() <= tail_mass(fm, 96 - 1) + 1e-8 or defect.max() <= 1e-6
 
     def test_rejects_small_alpha(self):
         rng = np.random.default_rng(7)
@@ -589,7 +589,7 @@ class TestRootOfS:
         snapshot = write_snapshot(model)
         for drawn in (prior, model):
             draw_sample(drawn, fm, 1.0, seed=0).eval_many([[0.3]])
-        assert np.array_equal(prior._s_root(), self.own_root(prior))
+        assert np.array_equal(prior._s_root, self.own_root(prior))
         assert write_snapshot(model) == snapshot
         # the fit's replace of a drawn-from prior, an edited fitted model, a snapshot
         caches = dict(_a=None, _chol_P=None, _chol_Sigma=None)
@@ -600,11 +600,11 @@ class TestRootOfS:
         want = [self.own_root(r) for r in rebuilt]
         calls = self.counted_eigh(monkeypatch)
         for r, root in zip(rebuilt, want):
-            assert r._S_root is None
+            assert "_s_root" not in vars(r)
             draw_sample(r, fm, 1.0, seed=0).eval_many([[0.3]])
-            assert calls[-1] is r.S_mat and np.array_equal(r._s_root(), root)
+            assert calls[-1] is r.S_mat and np.array_equal(r._s_root, root)
         assert len(calls) == 3
-        assert not np.array_equal(edited._s_root(), model._s_root())
+        assert not np.array_equal(edited._s_root, model._s_root)
 
 
 class TestNearZeroNoise:

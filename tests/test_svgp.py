@@ -243,7 +243,7 @@ class TestTraceResidual:
         for m in (6, 10, 16):
             model = fit_svgp_closed_form(data, SE1, 0.2, feature_map=fm, m=m)
             theta = trace_residual(data, model)
-            bound = data.n * tail_mass(fm, m, 80)
+            bound = data.n * tail_mass(fm, m)
             assert 0.0 <= theta <= bound
 
     def test_shrinks_as_m_grows(self):
