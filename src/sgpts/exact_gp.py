@@ -14,6 +14,7 @@ audit that regret certificates rest on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +56,13 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.X.shape[1]
+
+    @functools.cached_property
+    def distinct_rows(self) -> np.ndarray:
+        """np.unique(X, axis=0), read-only, computed on the first read and kept."""
+        rows = np.unique(self.X, axis=0)
+        rows.flags.writeable = False
+        return rows
 
     @staticmethod
     def empty(dim: int, batch_size: int) -> "Dataset":

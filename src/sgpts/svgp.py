@@ -311,19 +311,38 @@ def select_inducing_greedy(data: Dataset, spec: KernelSpec, m: int,
 def select_inducing_kmeans(data: Dataset, m: int, seed: int) -> np.ndarray:
     """Lloyd's algorithm on the inputs; deterministic given the seed.
 
-    Init draws m distinct rows.  Each round first re-seeds every emptied
+    Init draws m distinct rows.  Each round assigns every row to its nearest
+    center, the lowest index on ties, and then re-seeds every emptied
     cluster, in index order, with its own row: the one farthest from its
     assigned centroid among rows whose cluster keeps another member.  Then
     every centroid is the mean of its rows.  Iteration stops when the
     assignment is stable or after 100 rounds.
 
-    Bit contract: in rounds without an emptied cluster and for d <= 7, the
-    centers are bit-identical to rounds that sum an (n, m, d) broadcast of
-    squared differences over its last axis and mean each cluster under a
-    boolean mask.  Distances are summed one coordinate at a time, numpy's
-    order for fewer than 8 terms (from 8 on it sums pairwise).
+    Bit contract: the assignment is the argmin of e_ij = sum_k (x_ik - c_jk)^2
+    summed one coordinate at a time, numpy's order for an (n, m, d)
+    broadcast summed over its last axis when d <= 7 (from 8 terms on numpy
+    sums pairwise).  It is found from one GEMM a round, Elkan-style pruning
+    with an exact fallback: a_ij = x_i . (-2 c_j) + |c_j|^2 leaves out |x_i|^2,
+    the same along a row, and with u = 2^-53, g_n = n u / (1 - n u) and
+    S_i = |x_i|^2 + max_j |c_j|^2, |e_ij - (a_ij + |x_i|^2)| <= 4 g_(d+2) S_i.
+    (The GEMM, |c_j|^2 and their sum round within 2 g_(d+1) S_i, through
+    2 |x . c| <= |x|^2 + |c|^2; e within g_(d+2) e <= 2 g_(d+2) S_i.)  With E_i
+    = 8 (d + 2) u S_i, which also covers the rounding of E_i and of the gap, a
+    row whose runner-up a lies more than 2 E_i above its minimum has that
+    argmin alone under e.  Every other row (ties, duplicated centers,
+    lattice inputs, inputs far from the origin, where E_i is large) takes
+    the argmin of its exact e.  A round that re-seeds computes the exact e of
+    each row to its own center, the only distances the re-seed reads.
+
+    Centers have the arithmetic of ndarray.mean under a boolean mask per
+    cluster: add.reduce of the cluster's rows, then one true divide by its
+    count.  For d >= 2 add.reduce(axis=0) adds the rows in index order to
+    0.0, its identity (so a sum of -0.0s is 0.0), and one np.add.at of the
+    rows, sorted stably by cluster, into zeros gives those sums.  At d = 1
+    numpy sums the column pairwise, so each cluster's slice is add.reduce'd
+    on its own.
     """
-    uniq = np.unique(data.X, axis=0)
+    uniq = data.distinct_rows
     if m > uniq.shape[0]:
         raise InvalidInputError(f"m={m} exceeds the {uniq.shape[0]} distinct points")
     if m < 1:
@@ -331,30 +350,60 @@ def select_inducing_kmeans(data: Dataset, m: int, seed: int) -> np.ndarray:
     rng = rng_from_path(seed, 0x4B4D)
     centers = uniq[rng.choice(uniq.shape[0], size=m, replace=False)]
     X = data.X
-    assign = np.full(X.shape[0], -1)
+    n, d = X.shape
+    assign = np.full(n, -1)
     for _ in range(100):
-        d2 = np.square(X[:, :1] - centers[:, 0])
-        for k in range(1, X.shape[1]):
-            d2 += np.square(X[:, k:k + 1] - centers[:, k])
-        new_assign = np.argmin(d2, axis=1)
+        new_assign = _nearest(X, centers)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
         counts = np.bincount(assign, minlength=m)
-        for c in np.flatnonzero(counts == 0):
-            far = np.where(counts[assign] > 1, d2[np.arange(X.shape[0]), assign], -np.inf)
-            worst = int(np.argmax(far))
-            counts[assign[worst]] -= 1
-            assign[worst], counts[c] = c, 1
+        if not counts.all():
+            own = _sqdist(X, centers[assign])
+            for c in np.flatnonzero(counts == 0):
+                far = np.where(counts[assign] > 1, own, -np.inf)
+                worst = int(np.argmax(far))
+                counts[assign[worst]] -= 1
+                assign[worst], counts[c] = c, 1
         # stable sort: each cluster's rows stay in index order, as under a mask
-        Xs = X[np.argsort(assign, kind="stable")]
-        ends = np.cumsum(counts)
-        # the arithmetic of ndarray.mean: each cluster's add.reduce, then one
-        # true divide by its count (np.add.reduceat sums in another order)
-        for c in range(m):
-            centers[c] = np.add.reduce(Xs[ends[c] - counts[c]:ends[c]], axis=0)
+        order = np.argsort(assign, kind="stable")
+        if d >= 2:
+            centers = np.zeros((m, d))
+            np.add.at(centers, assign[order], X[order])
+        else:
+            Xs, ends = X[order], np.cumsum(counts)
+            for c in range(m):
+                centers[c] = np.add.reduce(Xs[ends[c] - counts[c]:ends[c]], axis=0)
         centers /= counts[:, None]
     return centers
+
+
+def _nearest(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Each row's nearest center, the lowest index on ties, as
+    select_inducing_kmeans documents: the argmin of a = X (-2 C^T) + |c|^2,
+    and for the rows whose runner-up lies within 2 E of their minimum (or
+    whose gap is NaN) the argmin of their exact _sqdist."""
+    rows, d = np.arange(X.shape[0]), X.shape[1]
+    cc = np.einsum("ij,ij->i", centers, centers)
+    a = X @ (-2.0 * centers.T)
+    a += cc
+    nearest = np.argmin(a, axis=1)
+    best = a[rows, nearest]
+    a[rows, nearest] = np.inf
+    E = 8.0 * (d + 2) * 2.0 ** -53 * (np.einsum("ij,ij->i", X, X) + cc.max())
+    close = np.flatnonzero(~(a.min(axis=1) - best > 2.0 * E))
+    if close.size:
+        nearest[close] = np.argmin(_sqdist(X[close, None], centers), axis=1)
+    return nearest
+
+
+def _sqdist(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """sum_k (x_k - c_k)^2 over the last axis of X and C broadcast together,
+    one coordinate at a time."""
+    d2 = np.square(X[..., 0] - C[..., 0])
+    for k in range(1, X.shape[-1]):
+        d2 += np.square(X[..., k] - C[..., k])
+    return d2
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ The same path always yields the same stream, independent of call order.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 from scipy.linalg import cholesky
@@ -48,16 +49,24 @@ def _grid_threads() -> int:
     return min(cpus, int(cap)) if cap.isdigit() and int(cap) > 0 else cpus
 
 
+def _spread(n: int) -> int:
+    """Threads that over_chunks deals the chunks of range(n) to: min(chunks,
+    _grid_threads()), or 1 on a thread of the pool itself, whose nested work
+    must not wait on the pool it occupies."""
+    if threading.current_thread().name.startswith(_POOL_NAME):
+        return 1
+    return min(max(1, n // _GRID_CHUNK), _grid_threads())
+
+
 def over_chunks(n: int, fn, scratch: tuple | None = None) -> None:
     """fn(lo, hi, buf) for every chunk range(lo, hi) of range(n), across threads.
 
     The chunks: n // _GRID_CHUNK spans of near-equal size, at least one, so
     every chunk has at least _GRID_CHUNK points and a set under twice that is
     one chunk.  Their bounds depend on n alone.  The threads: the calling one
-    and T - 1 of the process's pool, T = min(chunks, _grid_threads()); thread
-    t takes chunks t, t + T, t + 2T, ...  When each call writes only its own
-    chunk's part of the result, the result has the same bits for every
-    thread count.
+    and T - 1 of the process's pool, T = _spread(n); thread t takes chunks
+    t, t + T, t + 2T, ...  When each call writes only its own chunk's part of
+    the result, the result has the same bits for every thread count.
 
     buf is None, or with scratch = (rows, cols) the thread's own buffer of
     shape (min(rows, widest chunk), cols).  The buffers are made here, on
@@ -67,7 +76,7 @@ def over_chunks(n: int, fn, scratch: tuple | None = None) -> None:
     """
     k = max(1, n // _GRID_CHUNK)
     spans = [(i * n // k, (i + 1) * n // k) for i in range(k)]
-    threads = min(k, _grid_threads())
+    threads = _spread(n)
     width = max(hi - lo for lo, hi in spans)
     bufs = [None if scratch is None else np.empty((min(scratch[0], width), scratch[1]))
             for _ in range(threads)]
@@ -86,6 +95,31 @@ def over_chunks(n: int, fn, scratch: tuple | None = None) -> None:
         f.result()
 
 
+def _beside(n: int, fn, *args) -> Future:
+    """fn(*args) on a pool thread, beside the caller's own next work, when
+    over_chunks would take range(n) on more than one thread; otherwise at
+    once, on the calling thread.  Either way the Future's result() returns
+    fn's value or raises its error.
+
+    n is the size of the grid the caller works on, so a run takes the pool
+    exactly where its grid scoring does: below that, as for one-chunk grids
+    and a few probe points, the dispatch costs more than the overlap
+    saves.  fn runs the same code on the same inputs on either thread, so
+    its value has the same bits.  The two threads overlap only where one of
+    them is in a call that releases the GIL, such as numpy's loops and BLAS
+    (scipy.linalg's LAPACK wrappers hold it).
+    """
+    if _spread(n) > 1:
+        return _pool.submit(fn, *args)
+    done = Future()
+    try:
+        done.set_result(fn(*args))
+    except Exception as exc:
+        done.set_exception(exc)
+    return done
+
+
+_POOL_NAME = "sgpts-grid"
 _pool: ThreadPoolExecutor
 
 
@@ -95,7 +129,7 @@ def _renew_pool() -> None:
     threads.  They start on first use and are kept for the life of the
     process: fresh threads would pay their page faults again."""
     global _pool
-    _pool = ThreadPoolExecutor(max_workers=max(1, _cpus() - 1), thread_name_prefix="sgpts-grid")
+    _pool = ThreadPoolExecutor(max_workers=max(1, _cpus() - 1), thread_name_prefix=_POOL_NAME)
 
 
 _renew_pool()

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from sgpts import engine
+from sgpts import engine, util
 from sgpts.benchmarks import Benchmark, get_benchmark, random_search
 from sgpts.engine import (
     RunConfig,
@@ -30,9 +32,14 @@ from sgpts.engine import (
     schedule_alpha,
     step_regret_bound,
 )
-from sgpts.errors import ConfigError, InvalidInputError, ScheduleUndefinedError
-from sgpts.exact_gp import Dataset, batch_sigma_bound, gamma_bound
-from sgpts.kernels import FeatureMap, KernelSpec, mercer_truncate
+from sgpts.errors import (
+    ConfigError,
+    ExplorationInfeasibleError,
+    InvalidInputError,
+    ScheduleUndefinedError,
+)
+from sgpts.exact_gp import Dataset, batch_sigma_bound, gamma_bound, information_gain
+from sgpts.kernels import FeatureMap, KernelSpec, mercer_truncate, rff_sample
 from sgpts.sampling import DrawSetup, _unit_halton, build_grid, select_batch
 from sgpts.svgp import SvgpModel, fit_svgp_closed_form, select_inducing_greedy
 from sgpts.util import as_box, rng_from_path
@@ -730,6 +737,100 @@ class TestRunLoop:
             first.append(per_eval[:half].mean())
             second.append(per_eval[half:].mean())
         assert np.mean(second) < np.mean(first)
+
+    def test_kmeans_refit_takes_one_unique(self, monkeypatch):
+        bench = get_benchmark("hartmann6")
+        cfg = resolve_config(parse_config((REPO / "configs" / "hartmann6.cfg").read_text()), bench)
+        spec = KernelSpec(family="se", dim=6, lengthscales=cfg.lengthscale)
+        rng = np.random.default_rng(5)
+        # 60 rows, 30 of them distinct: the refit asks for m = 100 and gets 30
+        X = rng.uniform(0.0, 1.0, size=(30, 6))[np.tile(np.arange(30), 2)]
+        data = Dataset(X, rng.normal(size=60), 20, 3)
+        calls, unique = [], np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        model, _ = engine._fit_step_model(data, spec, cfg, bench, rff_sample(spec, 64, 1),
+                                          100, 0, 3)
+        assert model.m_count == 30 and len(calls) == 1
+
+
+class TestGammaBesideTheRefit:
+    """Over a grid of two chunks or more the next step's realized gamma runs
+    on a pool thread beside the refit, through util._beside."""
+
+    @staticmethod
+    def slow_gamma(monkeypatch, delay):
+        """engine.information_gain delayed by delay seconds, recording each
+        call's thread name and whether it finished."""
+        calls = []
+
+        def slow(*args):
+            call = {"thread": threading.current_thread().name, "done": False}
+            calls.append(call)
+            time.sleep(delay)
+            out = information_gain(*args)
+            call["done"] = True
+            return out
+
+        monkeypatch.setattr(engine, "information_gain", slow)
+        return calls
+
+    @staticmethod
+    def on_pool(calls):
+        return [c["thread"].startswith("sgpts-grid") for c in calls]
+
+    def test_pool_thread_gives_the_same_logs(self, monkeypatch):
+        # grid_cap=8000 makes every step's grid two chunks
+        cfg = parse_config((REPO / "configs" / "hartmann6.cfg").read_text(),
+                           ("grid_cap=8000", "T=4"))
+        bench = get_benchmark(cfg.objective)
+        logs = {}
+        for threads in (1, 2):
+            monkeypatch.setattr(util, "_grid_threads", lambda: threads)
+            calls = self.slow_gamma(monkeypatch, 0.0)
+            log = run_sgp_ts(cfg, bench, 0)
+            logs[threads] = log.to_csv(), log.steps_to_csv()
+            assert self.on_pool(calls) == [False] + [threads > 1] * 3
+        assert logs[1] == logs[2]
+
+    def test_a_failed_run_waits_for_its_task(self, monkeypatch):
+        cfg = parse_config((REPO / "configs" / "hartmann6.cfg").read_text(),
+                           ("grid_cap=8000", "T=3"))
+        bench = get_benchmark(cfg.objective)
+        monkeypatch.setattr(util, "_grid_threads", lambda: 2)
+        calls = self.slow_gamma(monkeypatch, 0.3)
+        evaluations = []
+
+        def objective(X):
+            evaluations.append(X.shape[0])
+            if len(evaluations) == 2:       # step 1's believed best, during the refit
+                raise RuntimeError("objective failed")
+            return bench.fn(X)
+
+        with pytest.raises(RuntimeError, match="objective failed"):
+            run_sgp_ts(cfg, dataclasses.replace(bench, fn=objective), 0)
+        assert self.on_pool(calls) == [False, True]
+        assert all(c["done"] for c in calls)
+
+    def test_an_aborted_run_waits_for_its_task(self, monkeypatch):
+        # lipschitz=1e5 caps the 1-d grid at 8000 points from step 1; step 2's
+        # schedule aborts before it reads its gamma
+        cfg = parse_config((REPO / "configs" / "theoretical.cfg").read_text(),
+                           ("grid_cap=8000", "lipschitz=1e5", "T=3"))
+        monkeypatch.setattr(util, "_grid_threads", lambda: 2)
+        calls = self.slow_gamma(monkeypatch, 0.3)
+        constants, steps = engine.approximation_constants, []
+
+        def infeasible_at_step_2(*args):
+            steps.append(args)
+            if len(steps) == 2:
+                raise ExplorationInfeasibleError("step 2")
+            return constants(*args)
+
+        monkeypatch.setattr(engine, "approximation_constants", infeasible_at_step_2)
+        log = run_sgp_ts(cfg, get_benchmark(cfg.objective), 0)
+        assert log.aborted and log.abort_reason == "step 2" and len(log.steps) == 1
+        assert self.on_pool(calls) == [False, True]
+        assert all(c["done"] for c in calls)
 
 
 class TestAntiConcentration:

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -523,6 +524,35 @@ class TestGridChunks:
         assert np.all(values[:, 3999] > np.delete(values, [3999, 4000], axis=1).max(axis=1))
         _, idx = select_batch(model, fm, grid, B=8, alpha=1.0, step_seed=3)
         assert np.array_equal(idx, np.full(8, 3999))
+
+    def test_phi_of_z_beside_the_root_of_s(self, chunk_grids, monkeypatch):
+        # on two chunks Phi(Z) runs on a pool thread while the caller takes
+        # the root of S; the picks keep their bits, also when select_batch is
+        # itself a pool task, which then takes Phi(Z) and its chunks inline
+        rng = np.random.default_rng(9)
+        X = rng.uniform(0.0, 1.0, size=(60, 6))
+        data = Dataset(X, rng.normal(size=60), 1, 60)
+        pts, F = chunk_grids["rff", 8000]
+        grid = sampling.Discretization(points=pts, capped=True, density_const=1.0)
+        threads, features = [], FeatureMap.features
+
+        def recorded(fm, Z):
+            threads.append(threading.current_thread().name)
+            return features(fm, Z)
+
+        monkeypatch.setattr(FeatureMap, "features", recorded)
+        picks = []
+        for n_threads, pooled in ((1, False), (2, False), (2, True)):
+            monkeypatch.setattr(util, "_grid_threads", lambda: n_threads)
+            # a fresh model each time, so each call takes its own root of S
+            args = (fit_svgp_closed_form(data, SE6, 0.1, Z=X[:20]), RFF6, grid, 8, 1.3, 4)
+            if pooled:
+                picks.append(util._beside(8000, select_batch, *args).result(timeout=60)[1])
+            else:
+                picks.append(select_batch(*args, F=F)[1])
+        assert np.array_equal(picks[0], picks[1]) and np.array_equal(picks[0], picks[2])
+        # the pooled call also evaluates the grid's features, on the pool thread
+        assert [t.startswith("sgpts-grid") for t in threads] == [False, True, True, True]
 
     def test_forked_child_scores_on_its_own_pool(self):
         # the parent's pool has a worker thread, which a forked child does not

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 import sgpts.exact_gp
 import sgpts.svgp
 import sgpts.util
+from sgpts.benchmarks import get_benchmark
+from sgpts.engine import parse_config, run_sgp_ts
 from sgpts.errors import (
     ExplorationInfeasibleError,
     InvalidInputError,
@@ -34,6 +37,7 @@ from sgpts.svgp import (
 )
 
 SE1 = KernelSpec(family="se", dim=1, lengthscales=(0.3,))
+REPO = Path(__file__).resolve().parent.parent
 
 
 def spread_data(rng, n, dim=1, bsz=1, y_scale=1.0):
@@ -405,6 +409,22 @@ def assert_kmeans_matches_reference(X, m, seed):
     return reseeds
 
 
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """Rows per round that the k-means assignment took from their exact sums:
+    _nearest's fallback calls _sqdist on (rows, 1, d) inputs, the re-seed's
+    own distances on (n, d) ones."""
+    rows, exact = [], sgpts.svgp._sqdist
+
+    def counted(X, C):
+        if X.ndim == 3:
+            rows.append(X.shape[0])
+        return exact(X, C)
+
+    monkeypatch.setattr(sgpts.svgp, "_sqdist", counted)
+    return rows
+
+
 class TestKmeansBits:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
     def test_random_instances(self, d):
@@ -454,6 +474,57 @@ class TestKmeansBits:
         n_distinct = np.unique(X, axis=0).shape[0]
         m = 1 + int(m_frac * (n_distinct - 1))
         assert_kmeans_matches_reference(X, m, seed)
+
+    def test_rows_equidistant_from_two_centers_fall_back(self, fallback_rows):
+        # the middle column is as far from the left one as from the right one
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+        assert_kmeans_matches_reference(X, 2, seed=0)
+        assert sum(fallback_rows) == 2
+        fallback_rows.clear()
+        for centers in ([[0.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]):
+            assert sgpts.svgp._nearest(X[1:2], np.array(centers)).tolist() == [0]
+        assert fallback_rows == [1, 1]
+
+    def test_duplicated_centers_fall_back_to_the_lower_index(self, fallback_rows):
+        rng = np.random.default_rng(61)
+        X = rng.uniform(0.0, 1.0, size=(50, 3))
+        centers = X[[3, 7, 3, 12, 7, 20]]
+        want = np.argmin(np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2), axis=1)
+        got = sgpts.svgp._nearest(X, centers)
+        assert np.array_equal(got, want)
+        # every row nearest to center 0 or 1 ties with its copy, 2 or 4
+        assert sum(fallback_rows) >= np.isin(want, [0, 1]).sum() > 0
+        assert not np.isin(got, [2, 4]).any()
+
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_inputs_far_from_the_origin(self, fallback_rows, d):
+        # |x|^2 ~ 1e12 d makes E 5e-3 (d = 1) to 9e-2 (d = 6), wider than
+        # many gaps between a row's two nearest centers: those rows take
+        # their exact sums
+        rng = np.random.default_rng(70 + d)
+        X = 1e6 + rng.uniform(0.0, 1.0, size=(200, d))
+        assert_kmeans_matches_reference(X, 20, seed=d)
+        assert sum(fallback_rows) > 200
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_centers_have_the_sign_of_zero_of_the_mean(self, d):
+        # ndarray.mean sums from 0.0, so a cluster whose rows all hold -0.0
+        # in a coordinate means to 0.0 there; array_equal cannot tell
+        X = np.array([[-0.0, 0.1], [-0.0, 0.3], [1.0, 1.0], [1.0, 0.8], [0.9, 1.0]])[:, :d]
+        want, _ = reference_kmeans(X, 2, seed=0)
+        got = select_inducing_kmeans(Dataset(X, np.zeros(5), 1, 5), 2, seed=0)
+        assert got.tobytes() == want.tobytes() and (got == 0.0).any()
+
+    def test_hartmann6_run_data(self, fallback_rows):
+        # the 480 observations of a hartmann6 run before its last refit, at
+        # the shipped m = 100: the GEMM decides every row but a few
+        cfg = parse_config((REPO / "configs" / "hartmann6.cfg").read_text(),
+                           ("grid_cap=8000", "T=24"))
+        X = run_sgp_ts(cfg, get_benchmark(cfg.objective), 0).to_dataset().X
+        assert X.shape == (480, 6)
+        for seed in (0, 1):
+            assert_kmeans_matches_reference(X, 100, seed)
+        assert sum(fallback_rows) < 0.01 * X.shape[0]
 
 
 class TestApproximationConstants:

@@ -88,3 +88,52 @@ class TestOverChunks:
                          scratch=(12289, 4))
         assert makers == [threading.get_ident()] * 3
         assert len(threads) == 3 and len(set(threads)) >= 2
+
+
+class TestBeside:
+    """util._beside: a task on a pool thread exactly where over_chunks would
+    use the pool, else inline; its result or error at result()."""
+
+    def test_runs_inline_below_the_gate(self, monkeypatch):
+        caller = threading.get_ident()
+        for threads, n in ((2, 7999), (1, 8000), (1, 40000)):
+            monkeypatch.setattr(util, "_grid_threads", lambda: threads)
+            assert util._beside(n, threading.get_ident).result() == caller
+        monkeypatch.setattr(util, "_grid_threads", lambda: 2)
+        assert util._beside(8000, threading.get_ident).result() != caller
+
+    def test_runs_inline_at_one_sgpts_thread(self, monkeypatch):
+        monkeypatch.setenv("SGPTS_THREADS", "1")
+        assert util._beside(40000, threading.get_ident).result() == threading.get_ident()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_error_surfaces_when_the_result_is_read(self, monkeypatch, threads):
+        monkeypatch.setattr(util, "_grid_threads", lambda: threads)
+
+        def fail(tag):
+            raise ValueError(tag)
+
+        task = util._beside(8000, fail, "task")
+        with pytest.raises(ValueError, match="task"):
+            task.result()
+
+    def test_task_takes_its_own_chunks_inline(self, monkeypatch):
+        # the pool has one worker on a 2-CPU host: a task on it that dealt
+        # chunks to the pool would wait on itself
+        monkeypatch.setattr(util, "_grid_threads", lambda: 2)
+        X = np.random.default_rng(3).uniform(size=(8000, 3))
+
+        def values():
+            out, threads = np.empty(8000), set()
+
+            def chunk(lo, hi, buf):
+                threads.add(threading.get_ident())
+                out[lo:hi] = np.exp(X[lo:hi]) @ np.array([0.3, -1.1, 2.7])
+
+            util.over_chunks(8000, chunk)
+            return out, threads
+
+        want, spread = values()
+        got, inline = util._beside(8000, values).result(timeout=60)
+        assert np.array_equal(got, want)
+        assert len(spread) == 2 and len(inline) == 1 and threading.get_ident() not in inline
