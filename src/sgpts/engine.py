@@ -42,7 +42,7 @@ from .svgp import (
     select_inducing_kmeans,
     precision_sup_norm,
 )
-from .util import _beside, as_box, derive_seed, rng_from_path
+from .util import as_box, derive_seed, rng_from_path, together
 
 _NOISE_TAG = 7777
 _RFF_TAG = 909
@@ -466,10 +466,8 @@ def run_sgp_ts(cfg: RunConfig, bench: Benchmark, seed: int) -> RunLog:
     logs regret against the certified optimum.  In theoretical alpha mode an
     infeasible exploration scaling aborts the run with a partial log.
 
-    The realized gamma of step t + 1 depends on the data alone, so it starts
-    through util._beside once step t's batch is in: over a grid of two
-    chunks or more it runs on a pool thread beside the refit.  The run
-    returns or raises only after that task is done.
+    The realized gamma of step t + 1 depends on the data alone, so
+    util.together runs it beside step t's refit.
     """
     cfg = resolve_config(cfg, bench)
     spec = KernelSpec(
@@ -485,6 +483,8 @@ def run_sgp_ts(cfg: RunConfig, bench: Benchmark, seed: int) -> RunLog:
     data = Dataset.empty(bench.dim, cfg.B)
     model, Phi_Z = _fit_step_model(data, spec, cfg, bench, fm, _schedule_m(cfg, bench.dim, 1),
                                    seed, 0)
+    # step 1's realized gamma, of no data; each step's refit brings the next one
+    gamma = information_gain(data, spec, cfg.tau) if cfg.gamma_mode == "realized" else None
     c1_run = 1.0
     cum = 0.0
     # the last grid and its features, reused while it repeats
@@ -495,67 +495,60 @@ def run_sgp_ts(cfg: RunConfig, bench: Benchmark, seed: int) -> RunLog:
     # features come from the GEMM X @ freqs^T, which need not round a row the
     # same alone.
     F_data = np.empty((fm.count, cfg.T * cfg.B)) if fm.kind == "mercer" else None
-    # the next step's realized gamma, a Future of util._beside
-    gamma = None
-    try:
-        for t in range(1, cfg.T + 1):
-            grid = build_grid(bench.lo, bench.hi, t, cfg.lipschitz, cfg.grid_cap)
-            quality = None
-            if cfg.alpha_mode == "theoretical":
-                c1_run = max(c1_run, precision_sup_norm(model))
-                # conservative stand-in for the spectral mass past the sampler's
-                # truncation: the last computed term plus its geometric continuation
-                delta_M = tail_mass(fm, fm.count - 1)
-                # the t = 1 model is the prior: no defect and no eps0, so kappa = 0
-                delta_m, eps0 = (0.0, 0.0) if t == 1 else (_variance_defect(model, data), cfg.eps0)
-                try:
-                    quality = approximation_constants(
-                        max(t - 1, 1), cfg.B, model.m_count, cfg.tau, cfg.delta,
-                        delta_m, delta_M, c1_run, cfg.variant, eps0,
-                    )
-                except ExplorationInfeasibleError as e:
-                    log.aborted = True
-                    log.abort_reason = str(e)
-                    break
-            if cfg.gamma_mode == "realized":
-                gamma_t = information_gain(data, spec, cfg.tau) if t == 1 else gamma.result()
-            else:
-                gamma_t = gamma_bound(spec, max(2.0, float(data.n)))
-            alpha_t, b_t, beta_t = schedule_alpha(t, grid.n_points, cfg, gamma_t, quality)
-            step_seed = derive_seed(seed, t)
-            if not np.array_equal(grid.points, grid_pts):
-                grid_pts, grid_F = grid.points, fm.features(grid.points)
-            X_batch, idx = select_batch(model, fm, grid, cfg.B, alpha_t, step_seed,
-                                        F=grid_F, Phi=Phi_Z)
-            f_true = bench.evaluate(X_batch)
-            y = f_true + noise.draw(rng_from_path(seed, t, _NOISE_TAG), cfg.B)
-            if F_data is not None:
-                F_data[:, data.n:data.n + cfg.B] = grid_F[:, idx]
-            data = data.append_batch(X_batch, y)
-            if cfg.gamma_mode == "realized" and t < cfg.T:
-                # the next step's gamma depends on data alone: it runs beside the refit
-                gamma = _beside(grid.n_points, information_gain, data, spec, cfg.tau)
-            F_obs = None if F_data is None else F_data[:, :data.n]
-            m_logged = model.m_count
-            model, Phi_Z = _fit_step_model(data, spec, cfg, bench, fm,
-                                           _schedule_m(cfg, bench.dim, min(t + 1, cfg.T)),
-                                           seed, t, F_obs)
-            bb_x, _ = believed_best(model, data.X, F=F_obs)
-            simple = bench.f_star - float(bench.evaluate(bb_x.reshape(1, -1))[0])
-            for b in range(cfg.B):
-                cum += bench.f_star - float(f_true[b])
-                log.add_row(t=t, b=b, x=X_batch[b], y=float(y[b]), f_true=float(f_true[b]),
-                            alpha_t=alpha_t, beta_t=beta_t, n_grid=grid.n_points,
-                            m_t=m_logged, cum_regret=cum, simple_regret=simple)
-            log.add_step(
-                t=t, alpha_t=alpha_t, b_t=b_t, beta_t=beta_t, n_grid=grid.n_points,
-                m_t=m_logged, gamma_t=gamma_t,
-                **{col: math.nan if quality is None else getattr(quality, name)
-                   for col, name in _QUALITY_COLUMNS.items()},
-            )
-    finally:
-        if gamma is not None:
-            gamma.exception()   # waits: no task of the run outlives it
+    for t in range(1, cfg.T + 1):
+        grid = build_grid(bench.lo, bench.hi, t, cfg.lipschitz, cfg.grid_cap)
+        quality = None
+        if cfg.alpha_mode == "theoretical":
+            c1_run = max(c1_run, precision_sup_norm(model))
+            # conservative stand-in for the spectral mass past the sampler's
+            # truncation: the last computed term plus its geometric continuation
+            delta_M = tail_mass(fm, fm.count - 1)
+            # the t = 1 model is the prior: no defect and no eps0, so kappa = 0
+            delta_m, eps0 = (0.0, 0.0) if t == 1 else (_variance_defect(model, data), cfg.eps0)
+            try:
+                quality = approximation_constants(
+                    max(t - 1, 1), cfg.B, model.m_count, cfg.tau, cfg.delta,
+                    delta_m, delta_M, c1_run, cfg.variant, eps0,
+                )
+            except ExplorationInfeasibleError as e:
+                log.aborted = True
+                log.abort_reason = str(e)
+                break
+        gamma_t = (gamma if cfg.gamma_mode == "realized"
+                   else gamma_bound(spec, max(2.0, float(data.n))))
+        alpha_t, b_t, beta_t = schedule_alpha(t, grid.n_points, cfg, gamma_t, quality)
+        step_seed = derive_seed(seed, t)
+        if not np.array_equal(grid.points, grid_pts):
+            grid_pts, grid_F = grid.points, fm.features(grid.points)
+        X_batch, idx = select_batch(model, fm, grid, cfg.B, alpha_t, step_seed,
+                                    F=grid_F, Phi=Phi_Z)
+        f_true = bench.evaluate(X_batch)
+        y = f_true + noise.draw(rng_from_path(seed, t, _NOISE_TAG), cfg.B)
+        if F_data is not None:
+            F_data[:, data.n:data.n + cfg.B] = grid_F[:, idx]
+        data = data.append_batch(X_batch, y)
+        F_obs = None if F_data is None else F_data[:, :data.n]
+        m_logged = model.m_count
+        refit = functools.partial(_fit_step_model, data, spec, cfg, bench, fm,
+                                  _schedule_m(cfg, bench.dim, min(t + 1, cfg.T)), seed, t, F_obs)
+        if cfg.gamma_mode == "realized" and t < cfg.T:
+            (model, Phi_Z), gamma = together(
+                grid.n_points, refit, functools.partial(information_gain, data, spec, cfg.tau))
+        else:
+            model, Phi_Z = refit()
+        bb_x, _ = believed_best(model, data.X, F=F_obs)
+        simple = bench.f_star - float(bench.evaluate(bb_x.reshape(1, -1))[0])
+        for b in range(cfg.B):
+            cum += bench.f_star - float(f_true[b])
+            log.add_row(t=t, b=b, x=X_batch[b], y=float(y[b]), f_true=float(f_true[b]),
+                        alpha_t=alpha_t, beta_t=beta_t, n_grid=grid.n_points,
+                        m_t=m_logged, cum_regret=cum, simple_regret=simple)
+        log.add_step(
+            t=t, alpha_t=alpha_t, b_t=b_t, beta_t=beta_t, n_grid=grid.n_points,
+            m_t=m_logged, gamma_t=gamma_t,
+            **{col: math.nan if quality is None else getattr(quality, name)
+               for col, name in _QUALITY_COLUMNS.items()},
+        )
     return log
 
 

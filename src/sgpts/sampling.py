@@ -37,9 +37,8 @@ argmax over them, lie along a contiguous row.
 The chunks of points, and the threads that take them, are util.over_chunks',
 which documents why the values keep their bits; cli's multi-seed pool
 workers score on one thread each.  The RFF feature rows of a grid are
-filled in the same chunks.  On a grid of two chunks or more select_batch
-also evaluates Phi(Z) on a pool thread while the calling one takes the
-root of S.
+filled in the same chunks.  select_batch evaluates Phi(Z) beside the root
+of S through util.together, which takes the pool where over_chunks does.
 
 In a run, fm.features is asked for the candidate grid once per distinct
 grid (the grid stops changing once it is capped), so its memo keeps only the
@@ -73,7 +72,7 @@ from scipy.linalg import cho_solve
 from .errors import InvalidInputError
 from .kernels import FeatureMap, _as_points, _features_at, kernel_matrix
 from .svgp import SvgpModel
-from .util import _beside, as_box, derive_seed, over_chunks
+from .util import as_box, derive_seed, over_chunks, together
 
 # most cells of W (M x draws) that DrawSetup.values scores in one product: 32 MiB
 _CHUNK_CELLS = 2 ** 22
@@ -326,9 +325,8 @@ def select_batch(
     the argmax resolve to the lowest grid index.  F, when given, must be
     fm.features(grid.points); a caller whose grid repeats across steps
     passes it to skip the re-evaluation.  Phi goes to DrawSetup, which
-    documents it; when a points model comes without it, fm.features(model.Z)
-    runs through util._beside, on a pool thread for a grid of two chunks or
-    more, while this thread takes the model's root of S.  The B draws are
+    documents it; when a points model comes without it, util.together
+    runs fm.features(model.Z) beside the model's root of S.  The B draws are
     scored by DrawSetup.values into a B x n_points values matrix, in one
     chunk of draws (its cap holds far more than B draws of any map used
     here) and the module's chunks of points.  The argmax runs along each
@@ -337,12 +335,10 @@ def select_batch(
     if B < 1:
         raise InvalidInputError("B must be >= 1")
     seeds = [derive_seed(step_seed, b) for b in range(B)]
-    # Phi(Z) beside the root of S, which the model computes here and keeps;
-    # a map of another dimension is left to DrawSetup's check
-    if Phi is None and model.variant == "points" and fm.dim == model.spec.dim:
-        task = _beside(grid.n_points, fm.features, model.Z)
-        model._s_root
-        Phi = task.result()
+    # Phi(Z) beside the root of S, which the model computes here and keeps
+    if Phi is None and model.variant == "points":
+        _, Phi = together(grid.n_points, lambda: model._s_root,
+                          functools.partial(fm.features, model.Z))
     setup = DrawSetup(model, fm, alpha, Phi=Phi)
     idx = np.argmax(setup.values(grid.points, seeds, F=F), axis=1)
     return grid.points[idx], idx

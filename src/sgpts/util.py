@@ -1,4 +1,8 @@
-"""Shared numerics, deterministic seed derivation and the grid's chunked threads.
+"""Shared numerics, deterministic seed derivation and the threads beside the caller.
+
+Threads: together(n, *calls) is the one way work runs on the process's
+pool, beside the calling thread, and documents how long that work lives;
+over_chunks deals the chunks of a grid to threads through it.
 
 Seed scheme: every random stream is keyed by an integer path that starts at
 the run seed, hashed through ``numpy.random.SeedSequence``: ``rng_from_path``
@@ -15,9 +19,10 @@ The same path always yields the same stream, independent of call order.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.linalg import cholesky
@@ -50,12 +55,39 @@ def _grid_threads() -> int:
 
 
 def _spread(n: int) -> int:
-    """Threads that over_chunks deals the chunks of range(n) to: min(chunks,
-    _grid_threads()), or 1 on a thread of the pool itself, whose nested work
-    must not wait on the pool it occupies."""
+    """Threads that work on range(n): min(chunks, _grid_threads()), or 1 on
+    a thread of the pool itself, whose nested work must not wait on the
+    pool it occupies."""
     if threading.current_thread().name.startswith(_POOL_NAME):
         return 1
     return min(max(1, n // _GRID_CHUNK), _grid_threads())
+
+
+def together(n: int, *calls) -> list:
+    """The values of calls(), in call order, once every call has finished.
+
+    The first call runs on the calling thread.  The others run on the
+    process's pool when _spread(n) > 1, beside it; otherwise every call runs
+    here, in order.  n is the size of the grid the caller works on, so a run
+    takes the pool exactly where its grid scoring does: below that, as for
+    one-chunk grids and a few probe points, the dispatch costs more than the
+    overlap saves.  No pool task outlives the call: when a call fails, the
+    first error is raised only after every started call has finished, the
+    calling thread's own error before the pool's, and the pool's in call
+    order.  A call runs the same code on the same inputs on either thread,
+    so its value has the same bits.  Threads overlap only where all but one
+    are in calls that release the GIL, such as numpy's loops and BLAS
+    (scipy.linalg's LAPACK wrappers hold it).
+    """
+    if _spread(n) == 1:
+        return [call() for call in calls]
+    pending = [_pool.submit(call) for call in calls[1:]]
+    try:
+        first = calls[0]()
+    finally:
+        for task in pending:
+            task.exception()   # waits for the task without raising
+    return [first] + [task.result() for task in pending]
 
 
 def over_chunks(n: int, fn, scratch: tuple | None = None) -> None:
@@ -63,16 +95,16 @@ def over_chunks(n: int, fn, scratch: tuple | None = None) -> None:
 
     The chunks: n // _GRID_CHUNK spans of near-equal size, at least one, so
     every chunk has at least _GRID_CHUNK points and a set under twice that is
-    one chunk.  Their bounds depend on n alone.  The threads: the calling one
-    and T - 1 of the process's pool, T = _spread(n); thread t takes chunks
-    t, t + T, t + 2T, ...  When each call writes only its own chunk's part of
-    the result, the result has the same bits for every thread count.
+    one chunk.  Their bounds depend on n alone.  The threads: T = _spread(n)
+    shares go to together, so share 0 runs on the calling thread and share t
+    takes chunks t, t + T, t + 2T, ...  When each call writes only its own
+    chunk's part of the result, the result has the same bits for every
+    thread count.
 
-    buf is None, or with scratch = (rows, cols) the thread's own buffer of
+    buf is None, or with scratch = (rows, cols) the share's own buffer of
     shape (min(rows, widest chunk), cols).  The buffers are made here, on
     the calling thread: made on a worker, a buffer would stay resident in
-    that thread's malloc arena between calls.  Returns once every call is
-    done, raising the first error.
+    that thread's malloc arena between calls.
     """
     k = max(1, n // _GRID_CHUNK)
     spans = [(i * n // k, (i + 1) * n // k) for i in range(k)]
@@ -85,38 +117,7 @@ def over_chunks(n: int, fn, scratch: tuple | None = None) -> None:
         for lo, hi in spans[t::threads]:
             fn(lo, hi, bufs[t])
 
-    futures = [_pool.submit(share, t) for t in range(1, threads)]
-    try:
-        share(0)
-    finally:
-        for f in futures:
-            f.exception()   # waits: no worker may still write after the return
-    for f in futures:
-        f.result()
-
-
-def _beside(n: int, fn, *args) -> Future:
-    """fn(*args) on a pool thread, beside the caller's own next work, when
-    over_chunks would take range(n) on more than one thread; otherwise at
-    once, on the calling thread.  Either way the Future's result() returns
-    fn's value or raises its error.
-
-    n is the size of the grid the caller works on, so a run takes the pool
-    exactly where its grid scoring does: below that, as for one-chunk grids
-    and a few probe points, the dispatch costs more than the overlap
-    saves.  fn runs the same code on the same inputs on either thread, so
-    its value has the same bits.  The two threads overlap only where one of
-    them is in a call that releases the GIL, such as numpy's loops and BLAS
-    (scipy.linalg's LAPACK wrappers hold it).
-    """
-    if _spread(n) > 1:
-        return _pool.submit(fn, *args)
-    done = Future()
-    try:
-        done.set_result(fn(*args))
-    except Exception as exc:
-        done.set_exception(exc)
-    return done
+    together(n, *[functools.partial(share, t) for t in range(threads)])
 
 
 _POOL_NAME = "sgpts-grid"

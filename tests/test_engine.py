@@ -755,7 +755,7 @@ class TestRunLoop:
 
 class TestGammaBesideTheRefit:
     """Over a grid of two chunks or more the next step's realized gamma runs
-    on a pool thread beside the refit, through util._beside."""
+    on a pool thread beside the refit, through util.together."""
 
     @staticmethod
     def slow_gamma(monkeypatch, delay):
@@ -900,7 +900,7 @@ class TestRecordedRunLogs:
                    PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"),
                                                             os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", script], cwd=REPO, env=env,
-                              capture_output=True, text=True, check=True)
+                              capture_output=True, text=True, check=True, timeout=300)
         assert json.loads(proc.stdout) == {
             "multimodal1d:0:steps": "33f5f0717ccc294d6eac063e3f2b6a28f325022fe97c1427632f3fac83737d0f",
             "multimodal1d:1:steps": "c86c493f5593cd3cdae67b37e3b3b8146e7a09fd44aa448dd8123500d2523f5d",
@@ -929,7 +929,8 @@ class TestRecordedRunLogs:
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                        MKL_NUM_THREADS=threads, PYTHONPATH=src)
             csvs.append(subprocess.run([sys.executable, "-c", script], cwd=REPO, env=env,
-                                       capture_output=True, text=True, check=True).stdout)
+                                       capture_output=True, text=True, check=True,
+                                       timeout=300).stdout)
         assert csvs[0].count("\n") == 15 * 20 + 1
         assert csvs[0] == csvs[1]
 
@@ -956,7 +957,7 @@ class TestRecordedRunLogs:
                        MKL_NUM_THREADS=blas, SGPTS_THREADS=scoring, PYTHONPATH=src)
             logs[blas, scoring] = json.loads(subprocess.run(
                 [sys.executable, "-c", script], cwd=REPO, env=env, capture_output=True,
-                text=True, check=True).stdout)
+                text=True, check=True, timeout=300).stdout)
         assert logs["1", "1"][0].count("\n") == 6 * 20 + 1
         assert logs["1", "1"] == logs["1", "2"]
         assert logs["1", "2"][0] == logs["2", "2"][0]

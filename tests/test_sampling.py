@@ -1,4 +1,7 @@
 import dataclasses
+import functools
+import multiprocessing
+import multiprocessing.connection
 import os
 import subprocess
 import sys
@@ -73,6 +76,22 @@ def fitted_case(case, rng):
     if case.startswith("points"):
         return fitted_points_model(rng)[1], fm
     return fitted_features_model(rng, fm)[1], fm
+
+
+def in_forked_child(fn, timeout=60):
+    """fn()'s value, computed in a forked child; the test fails when the
+    child exits without one or has none after timeout seconds."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: send.send(fn()))
+    child.start()
+    try:
+        if recv not in multiprocessing.connection.wait([recv, child.sentinel], timeout):
+            pytest.fail(f"the child gave no value within {timeout} s")
+        return recv.recv()
+    finally:
+        child.kill()
+        child.join()
 
 
 def gamma(n):
@@ -547,7 +566,11 @@ class TestGridChunks:
             # a fresh model each time, so each call takes its own root of S
             args = (fit_svgp_closed_form(data, SE6, 0.1, Z=X[:20]), RFF6, grid, 8, 1.3, 4)
             if pooled:
-                picks.append(util._beside(8000, select_batch, *args).result(timeout=60)[1])
+                # in a forked child, killed after a timeout: a pool task that
+                # waited on its own pool would otherwise hang the test run
+                idx, threads[:] = in_forked_child(lambda: (util.together(
+                    8000, lambda: None, functools.partial(select_batch, *args))[1][1], threads))
+                picks.append(idx)
             else:
                 picks.append(select_batch(*args, F=F)[1])
         assert np.array_equal(picks[0], picks[1]) and np.array_equal(picks[0], picks[2])
@@ -784,6 +807,18 @@ class TestSelectBatch:
             vals = s.eval_many(grid.points)
             assert idx[b] == int(np.argmax(vals))
             assert np.array_equal(pts[b], grid.points[idx[b]])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", VARIANT_CASES)
+    def test_map_of_another_dimension_is_refused(self, case, threads, monkeypatch):
+        # on 8000 points at two threads a points model's Phi(Z) fails on the pool
+        model, _ = fitted_case(case, np.random.default_rng(14))
+        fm = rff_sample(KernelSpec(family="se", dim=2, lengthscales=(0.25, 0.25)), 64, seed=3)
+        pts = np.random.default_rng(15).uniform(size=(8000, 1))
+        grid = sampling.Discretization(points=pts, capped=True, density_const=1.0)
+        monkeypatch.setattr(util, "_grid_threads", lambda: threads)
+        with pytest.raises(InvalidInputError):
+            select_batch(model, fm, grid, B=2, alpha=1.0, step_seed=1)
 
     def test_set_up_runs_once_per_call(self, monkeypatch):
         # one select_batch call: features at the grid and at Z, one eigh of

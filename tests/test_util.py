@@ -1,5 +1,10 @@
+import functools
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,50 +95,105 @@ class TestOverChunks:
         assert len(threads) == 3 and len(set(threads)) >= 2
 
 
-class TestBeside:
-    """util._beside: a task on a pool thread exactly where over_chunks would
-    use the pool, else inline; its result or error at result()."""
+class TestTogether:
+    """util.together: the first call on the calling thread, the others on the
+    pool exactly where over_chunks would use it, else inline; the values in
+    call order once every call has finished."""
+
+    def test_values_come_back_in_call_order(self, monkeypatch):
+        def late(i):
+            # the later calls finish first
+            time.sleep(0.01 * (3 - i))
+            return i
+
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(util, "_grid_threads", lambda: threads)
+            calls = [functools.partial(late, i) for i in range(4)]
+            assert util.together(12000, *calls) == [0, 1, 2, 3]
+
+    def test_first_call_runs_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(util, "_grid_threads", lambda: 2)
+        caller = threading.get_ident()
+        first, second = util.together(8000, threading.get_ident, threading.get_ident)
+        assert first == caller and second != caller
 
     def test_runs_inline_below_the_gate(self, monkeypatch):
         caller = threading.get_ident()
         for threads, n in ((2, 7999), (1, 8000), (1, 40000)):
             monkeypatch.setattr(util, "_grid_threads", lambda: threads)
-            assert util._beside(n, threading.get_ident).result() == caller
-        monkeypatch.setattr(util, "_grid_threads", lambda: 2)
-        assert util._beside(8000, threading.get_ident).result() != caller
+            assert util.together(n, *[threading.get_ident] * 3) == [caller] * 3
 
     def test_runs_inline_at_one_sgpts_thread(self, monkeypatch):
         monkeypatch.setenv("SGPTS_THREADS", "1")
-        assert util._beside(40000, threading.get_ident).result() == threading.get_ident()
+        caller = threading.get_ident()
+        assert util.together(40000, *[threading.get_ident] * 3) == [caller] * 3
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_error_surfaces_when_the_result_is_read(self, monkeypatch, threads):
+    def test_first_error_reaches_the_caller(self, monkeypatch, threads):
         monkeypatch.setattr(util, "_grid_threads", lambda: threads)
 
         def fail(tag):
             raise ValueError(tag)
 
-        task = util._beside(8000, fail, "task")
-        with pytest.raises(ValueError, match="task"):
-            task.result()
+        with pytest.raises(ValueError, match="first"):
+            util.together(8000, lambda: fail("first"), lambda: fail("second"))
+        with pytest.raises(ValueError, match="second"):
+            util.together(12000, time.time, lambda: fail("second"), lambda: fail("third"))
 
-    def test_task_takes_its_own_chunks_inline(self, monkeypatch):
-        # the pool has one worker on a 2-CPU host: a task on it that dealt
-        # chunks to the pool would wait on itself
+    def test_inline_error_waits_for_the_pool_call(self, monkeypatch):
         monkeypatch.setattr(util, "_grid_threads", lambda: 2)
-        X = np.random.default_rng(3).uniform(size=(8000, 3))
+        done = []
 
-        def values():
-            out, threads = np.empty(8000), set()
+        def fail():
+            raise ValueError("inline")
 
-            def chunk(lo, hi, buf):
-                threads.add(threading.get_ident())
-                out[lo:hi] = np.exp(X[lo:hi]) @ np.array([0.3, -1.1, 2.7])
+        def slow():
+            time.sleep(0.3)
+            done.append(threading.get_ident())
 
-            util.over_chunks(8000, chunk)
-            return out, threads
+        with pytest.raises(ValueError, match="inline"):
+            util.together(8000, fail, slow)
+        assert len(done) == 1 and done[0] != threading.get_ident()
 
-        want, spread = values()
-        got, inline = util._beside(8000, values).result(timeout=60)
-        assert np.array_equal(got, want)
-        assert len(spread) == 2 and len(inline) == 1 and threading.get_ident() not in inline
+    def test_pool_error_is_raised_after_the_inline_call(self, monkeypatch):
+        monkeypatch.setattr(util, "_grid_threads", lambda: 2)
+        done = []
+
+        def fail():
+            raise ValueError("pool")
+
+        def slow():
+            time.sleep(0.3)
+            done.append(threading.get_ident())
+
+        with pytest.raises(ValueError, match="pool"):
+            util.together(8000, slow, fail)
+        assert done == [threading.get_ident()]
+
+    def test_task_takes_its_own_chunks_inline(self):
+        # the pool has one worker on a 2-CPU host: a task on it that dealt
+        # chunks to the pool would wait on itself, so the check runs in a
+        # process that a hang cannot keep past its timeout
+        script = (
+            "import threading, numpy as np\n"
+            "from sgpts import util\n"
+            "util._grid_threads = lambda: 2\n"
+            "X = np.random.default_rng(3).uniform(size=(8000, 3))\n"
+            "def values():\n"
+            "    out, threads = np.empty(8000), set()\n"
+            "    def chunk(lo, hi, buf):\n"
+            "        threads.add(threading.get_ident())\n"
+            "        out[lo:hi] = np.exp(X[lo:hi]) @ np.array([0.3, -1.1, 2.7])\n"
+            "    util.over_chunks(8000, chunk)\n"
+            "    return out, threads\n"
+            "want, spread = values()\n"
+            "_, (got, inline) = util.together(8000, lambda: None, values)\n"
+            "print(np.array_equal(got, want), len(spread), len(inline),\n"
+            "      threading.get_ident() in inline)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True, timeout=60)
+        assert proc.stdout.split() == ["True", "2", "1", "False"]
