@@ -1,4 +1,4 @@
-"""Test objectives with certified optima, noise models, and a random-search baseline.
+"""Test objectives with certified optima and noise models.
 
 All objectives are exposed in maximization convention: classical minimization
 forms are negated here, with the optimum value negated consistently, so the
@@ -246,41 +246,3 @@ def certify(bench: Benchmark, seed: int = 0) -> dict:
         "gap": bench.f_star - found,
     }
 
-
-def random_search(bench: Benchmark, noise_var: float, budget: int, seed: int,
-                  batch_size: int = 1):
-    """Uniform-random baseline emitting the same trace schema as the optimizer.
-
-    The believed best after each batch is the queried point with the highest
-    observed (noisy) value so far.
-    """
-    from .engine import _NOISE_TAG, RunLog
-
-    if budget < 1:
-        raise InvalidInputError("budget must be at least 1")
-    if budget % batch_size != 0:
-        raise InvalidInputError("budget must be a multiple of batch_size")
-    noise = NoiseModel(noise_var)
-    lo = np.asarray(bench.lo)
-    hi = np.asarray(bench.hi)
-    log = RunLog(run_seed=seed, dim=bench.dim)
-    best_y = -np.inf
-    best_f = -np.inf
-    cum = 0.0
-    steps = budget // batch_size
-    for t in range(1, steps + 1):
-        rng = rng_from_path(seed, t, 5050)
-        X = rng.uniform(lo, hi, size=(batch_size, bench.dim))
-        f_true = bench.evaluate(X)
-        y = f_true + noise.draw(rng_from_path(seed, t, _NOISE_TAG), batch_size)
-        for b in range(batch_size):
-            if y[b] > best_y:
-                best_y = float(y[b])
-                best_f = float(f_true[b])
-            cum += bench.f_star - float(f_true[b])
-            log.add_row(
-                t=t, b=b, x=X[b], y=float(y[b]), f_true=float(f_true[b]),
-                alpha_t=float("nan"), beta_t=float("nan"), n_grid=0, m_t=0,
-                cum_regret=cum, simple_regret=bench.f_star - best_f,
-            )
-    return log

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 import time
@@ -15,11 +14,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import util
-from .benchmarks import BENCHMARKS, certify, get_benchmark, random_search
-from .engine import RunConfig, parse_config, resolve_config, run_sgp_ts, step_regret_bound
+from .benchmarks import BENCHMARKS, certify, get_benchmark
+from .engine import (RunConfig, parse_config, random_search, resolve_config, run_sgp_ts,
+                     step_regret_bound)
 from .errors import InvalidInputError
 from .util import format_float
-from .verify import format_results, run_checks
+from .verify import check_regret_vs_random, format_results, run_checks
 
 
 def _pool_size(n_jobs: int) -> int:
@@ -128,9 +128,7 @@ def cmd_bound(args) -> int:
             return 1
         rows = _read_csv(run_file)
         steps = _read_csv(steps_file)
-        cum_at = {}
-        for r in rows:
-            cum_at[int(r["t"])] = float(r["cum_regret"])
+        cum_at = {int(r["t"]): float(r["cum_regret"]) for r in rows}
         lines = ["t,cum_regret,bound"]
         for s in steps:
             t = int(s["t"])
@@ -144,25 +142,19 @@ def cmd_bound(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
     bench = get_benchmark(cfg.objective)
-    rcfg = resolve_config(cfg, bench)
     seeds = _parse_seeds(args.seeds)
     outdir = Path(args.out)
-    results = _run_all(cfg, seeds)
-    base_logs = [random_search(bench, rcfg.noise_var, rcfg.T * rcfg.B, s, rcfg.B)
-                 for s in seeds]
-    for seed, log, _ in results:
-        _write(outdir / f"run_seed{seed}.csv", log.to_csv())
-    for seed, blog in zip(seeds, base_logs):
-        _write(outdir / f"baseline_seed{seed}.csv", blog.to_csv())
-    ours = float(np.mean([log.final_simple_regret for _, log, _ in results]))
-    base = float(np.mean([b.final_simple_regret for b in base_logs]))
-    ratio = base / ours if ours > 0 else math.inf
-    lines = ["method,mean_final_simple_regret",
-             f"sgpts,{format_float(ours)}",
-             f"random,{format_float(base)}"]
+    logs = [log for _, log, _ in _run_all(cfg, seeds)]
+    base_logs = [random_search(cfg, bench, s) for s in seeds]
+    for log, blog in zip(logs, base_logs):
+        _write(outdir / f"run_seed{log.run_seed}.csv", log.to_csv())
+        _write(outdir / f"baseline_seed{blog.run_seed}.csv", blog.to_csv())
+    lines = ["method,mean_final_simple_regret"]
+    for name, group in (("sgpts", logs), ("random", base_logs)):
+        lines.append(f"{name},{format_float(np.mean([g.final_simple_regret for g in group]))}")
     _write(outdir / "comparison.csv", "\n".join(lines) + "\n")
-    print(f"mean final simple regret: sgpts={ours:.5f} random={base:.5f} "
-          f"(advantage {ratio:.2f}x)")
+    ok, detail = check_regret_vs_random(logs, base_logs)
+    print(f"regret-vs-random: {'PASS' if ok else 'FAIL'} ({detail})")
     return 0
 
 
@@ -223,10 +215,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InvalidInputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (InvalidInputError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

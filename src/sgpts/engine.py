@@ -47,6 +47,7 @@ from .util import as_box, derive_seed, rng_from_path, together
 _NOISE_TAG = 7777
 _RFF_TAG = 909
 _KMEANS_TAG = 303
+_UNIFORM_TAG = 5050
 
 
 # allowed values of each choice field of RunConfig
@@ -120,22 +121,27 @@ class RunConfig:
         for name, v in vars(self).items():
             if isinstance(v, (float, tuple)) and not np.all(np.isfinite(v)):
                 raise ConfigError(f"field '{name}' must be finite")
+        # a theoretical features-variant run reads the spectrum's tail past a fixed m
+        tail_past_m = (self.variant == "features" and self.alpha_mode == "theoretical"
+                       and self.m_mode == "fixed")
+        mercer = self.feature_kind() == "mercer"
         rules = {**_RULES,
+                 "m": (lambda v: v >= 1 and (v < self.M or not tail_past_m),
+                       "be >= 1, and below field 'M' in a theoretical features-variant run"),
                  "alpha": (lambda v: v >= 1 or self.alpha_mode != "fixed",
                            "be >= 1 in fixed mode"),
                  "nu": (lambda v: v in _MATERN_NUS or self.kernel != "matern",
-                        "be 1.5 or 2.5 for kernel=matern")}
+                        "be 1.5 or 2.5 for kernel=matern"),
+                 "features": (lambda v: v != "mercer" or self.kernel == "se",
+                              "be auto or rff for kernel=matern, which has no eigen-expansion map"),
+                 "variant": (lambda v: v == "points" or mercer, "be points without an "
+                             "eigen-expansion map: set kernel=se with features=mercer or auto"),
+                 "alpha_mode": (lambda v: v == "fixed" or mercer, "be fixed without spectral "
+                                "tail masses: set kernel=se with features=mercer or auto")}
         for name, (accept, rule) in rules.items():
             v = getattr(self, name)
             if v is not None and not accept(v):
                 raise ConfigError(f"field '{name}' must {rule}")
-        if self.feature_kind() != "mercer":
-            if self.variant == "features":
-                raise ConfigError("field 'variant'=features needs an eigen-expansion map: "
-                                  "set kernel=se with features=mercer or auto")
-            if self.alpha_mode == "theoretical":
-                raise ConfigError("field 'alpha_mode'=theoretical needs spectral tail masses: "
-                                  "set kernel=se with features=mercer or auto")
 
     def feature_kind(self) -> str:
         if self.features != "auto":
@@ -189,6 +195,12 @@ def resolve_config(cfg: RunConfig, bench: Benchmark) -> RunConfig:
         raise ConfigError(
             f"field 'lengthscale' has {len(ls)} entries but {bench.name} has dim {bench.dim}"
         )
+    try:
+        m_T = _schedule_m(cfg, bench.dim, cfg.T)    # the largest m_t, as the rules grow
+    except ScheduleUndefinedError as e:
+        raise ConfigError(f"field 'm_mode'=growth on {bench.name}: {e}") from None
+    if m_T >= cfg.M and (cfg.variant, cfg.alpha_mode) == ("features", "theoretical"):
+        raise ConfigError(f"field 'M' must exceed the {m_T} features m_mode=growth reaches by T")
     return replace(cfg, noise_var=noise_var, tau=tau, r_sub=r_sub,
                    lipschitz=lipschitz, lengthscale=ls)
 
@@ -348,10 +360,10 @@ def regret_bound(T: int, B: int, tau: float, gamma_T: float, beta_T: float,
     30 a_over beta_T B sqrt(2 T gamma_T / log(1 + 1/tau))
     + (31 beta_T + alpha_T) eps T B + 15 B b_norm + 2 B.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise InvalidInputError("tau must be positive")
-    if min(T, B) < 1 or min(gamma_T, beta_T, alpha_T, a_over, eps, b_norm) < 0:
-        raise InvalidInputError("bound inputs must be non-negative")
+    if min(T, B) < 1 or not all(v >= 0 for v in (gamma_T, beta_T, alpha_T, a_over, eps, b_norm)):
+        raise InvalidInputError("bound inputs must be non-negative, not NaN")
     term1 = 30.0 * a_over * beta_T * B * math.sqrt(2.0 * T * gamma_T / math.log(1.0 + 1.0 / tau))
     term2 = (31.0 * beta_T + alpha_T) * eps * T * B
     return term1 + term2 + 15.0 * B * b_norm + 2.0 * B
@@ -360,12 +372,13 @@ def regret_bound(T: int, B: int, tau: float, gamma_T: float, beta_T: float,
 def step_regret_bound(cfg: RunConfig, step) -> float:
     """regret_bound through step.t of a run of the resolved cfg, from that
     step's logged columns: step is a StepRecord, or any object with its t,
-    gamma_t, beta_t, alpha_t, a_over_t and eps_t.  Fixed alpha mode logs NaN
-    quality constants; a_over = 1 and eps = 0 stand in for them."""
+    gamma_t, beta_t, alpha_t, a_over_t and eps_t.  Fixed alpha mode logs no
+    quality constants, and a_over = 1 and eps = 0 stand in for them; a NaN
+    that a theoretical step logs for one fails regret_bound's input check."""
+    a_over, eps = (1.0, 0.0) if cfg.alpha_mode == "fixed" else (step.a_over_t, step.eps_t)
     return regret_bound(
         T=step.t, B=cfg.B, tau=cfg.tau, gamma_T=step.gamma_t, beta_T=step.beta_t,
-        alpha_T=step.alpha_t, a_over=1.0 if math.isnan(step.a_over_t) else step.a_over_t,
-        eps=0.0 if math.isnan(step.eps_t) else step.eps_t, b_norm=cfg.b_norm,
+        alpha_T=step.alpha_t, a_over=a_over, eps=eps, b_norm=cfg.b_norm,
     )
 
 
@@ -549,6 +562,30 @@ def run_sgp_ts(cfg: RunConfig, bench: Benchmark, seed: int) -> RunLog:
             **{col: math.nan if quality is None else getattr(quality, name)
                for col, name in _QUALITY_COLUMNS.items()},
         )
+    return log
+
+
+def random_search(cfg: RunConfig, bench: Benchmark, seed: int) -> RunLog:
+    """The uniform-random baseline of run_sgp_ts(cfg, bench, seed), in its log
+    schema: the run's budget of T batches of B uniform points, observed on its
+    noise stream.  The believed best is the point with the best noisy value so far."""
+    cfg = resolve_config(cfg, bench)
+    noise = NoiseModel(cfg.noise_var)
+    lo, hi = as_box(bench.lo, bench.hi)
+    log = RunLog(run_seed=seed, dim=bench.dim)
+    best_y = best_f = -np.inf
+    cum = 0.0
+    for t in range(1, cfg.T + 1):
+        X = rng_from_path(seed, t, _UNIFORM_TAG).uniform(lo, hi, size=(cfg.B, bench.dim))
+        f_true = bench.evaluate(X)
+        y = f_true + noise.draw(rng_from_path(seed, t, _NOISE_TAG), cfg.B)
+        for b in range(cfg.B):
+            if y[b] > best_y:
+                best_y, best_f = float(y[b]), float(f_true[b])
+            cum += bench.f_star - float(f_true[b])
+            log.add_row(t=t, b=b, x=X[b], y=float(y[b]), f_true=float(f_true[b]),
+                        alpha_t=math.nan, beta_t=math.nan, n_grid=0, m_t=0,
+                        cum_regret=cum, simple_regret=bench.f_star - best_f)
     return log
 
 

@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedDecompositionError
+from .errors import InvalidInputError, NumericalDegeneracyError, UnsupportedDecompositionError
 from .util import as_box, over_chunks, rng_from_path
 
 _MATERN_NUS = (1.5, 2.5)
@@ -454,7 +454,9 @@ def tail_mass(fm: FeatureMap, M: int) -> float:
 
     Sums the computed spectrum from M+1 on, then closes the series with a
     geometric continuation: the last term times r/(1-r) where r is the final
-    observed term ratio.  Only defined for Mercer maps.
+    observed term ratio, or none past a last term that underflowed to 0.0.
+    Only defined for Mercer maps; a sum that is not finite raises
+    NumericalDegeneracyError.
     """
     if fm.kind != "mercer":
         raise UnsupportedDecompositionError("tail mass requires an eigen-expansion map")
@@ -463,7 +465,7 @@ def tail_mass(fm: FeatureMap, M: int) -> float:
         raise InvalidInputError(f"need 0 <= M < {cap}, the computed spectrum size")
     terms = fm.lambdas * fm.sup_bounds ** 2
     body = float(np.sum(terms[M:]))
-    if cap >= 2:
+    if cap >= 2 and terms[cap - 1] > 0.0:
         r = terms[cap - 1] / terms[cap - 2]
         if not (0.0 < r < 1.0):
             r = fm.lambdas[cap - 1] / fm.lambdas[cap - 2]
@@ -471,4 +473,6 @@ def tail_mass(fm: FeatureMap, M: int) -> float:
         remainder = float(terms[cap - 1]) * r / (1.0 - r)
     else:
         remainder = float(terms[cap - 1])
+    if not math.isfinite(body + remainder):
+        raise NumericalDegeneracyError(f"tail mass past {M} terms is {body + remainder}")
     return body + remainder

@@ -7,10 +7,11 @@ over_chunks deals the chunks of a grid to threads through it.
 Seed scheme: every random stream is keyed by an integer path that starts at
 the run seed, hashed through ``numpy.random.SeedSequence``: ``rng_from_path``
 turns a path into a generator, ``derive_seed`` into a 32-bit seed.
-``engine.run_sgp_ts`` keys its streams as follows:
+``engine.run_sgp_ts`` and its baseline, ``engine.random_search``, key these:
 
 * draw b of step t: ``default_rng(derive_seed(derive_seed(run_seed, t), b))``;
-* observation noise of step t: ``rng_from_path(run_seed, t, 7777)``;
+* observation noise of step t, in both: ``rng_from_path(run_seed, t, 7777)``;
+* the baseline's uniform points of step t: ``rng_from_path(run_seed, t, 5050)``;
 * k-means refit after step t: ``rng_from_path(derive_seed(run_seed, t, 303), 0x4B4D)``;
 * random features: ``rng_from_path(derive_seed(run_seed, 909), 0x52FF)``.
 

@@ -5,7 +5,7 @@ through an independent dense or analytic route, and compares.  Six checks
 are the only implementation of acceptance criteria 01-04, 09 and 10, which
 call them: the full level runs them at their acceptance sizes, and the quick
 level runs the same instance streams small enough for the whole battery to
-finish within a minute.
+finish within a minute.  check_regret_vs_random judges runs its caller made.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 
 from .benchmarks import get_benchmark
 from .engine import RunConfig, growth_exponents, growth_schedule, run_sgp_ts
+from .errors import InvalidInputError
 from .exact_gp import Dataset, batch_sigma_bound, fit_exact
 from .kernels import KernelSpec, kernel_matrix, mercer_truncate, rff_sample, tail_mass
 from .sampling import DrawSetup, decoupled_mean_cov, derive_seed
@@ -224,6 +225,18 @@ def check_run_determinism() -> tuple[bool, str]:
         identical = identical and a.to_csv().encode() == b.to_csv().encode()
         identical = identical and a.steps_to_csv().encode() == b.steps_to_csv().encode()
     return identical, "repeated runs give byte-identical run and step CSVs"
+
+
+def check_regret_vs_random(logs: list, base_logs: list) -> tuple[bool, str]:
+    """Random search's mean final simple regret is more than twice the runs'
+    (criterion 07); base_logs[i] is random_search at logs[i]'s run_seed."""
+    if not logs or [g.run_seed for g in logs] != [g.run_seed for g in base_logs]:
+        raise InvalidInputError("runs and baselines must pair up by run_seed")
+    ours, rand = (float(np.mean([g.final_simple_regret for g in group]))
+                  for group in (logs, base_logs))
+    ratio = rand / ours if ours > 0 else math.inf
+    return rand > 2.0 * ours, (f"mean final simple regret {ours:.4f} vs random {rand:.4f} "
+                               f"(ratio {ratio:.2f}) over {len(logs)} seeds")
 
 
 def run_checks(level: str = "quick") -> list[CheckResult]:

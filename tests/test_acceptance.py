@@ -7,8 +7,9 @@ Run with -s to see the per-criterion lines as they complete:
 Every gate recomputes its expectation through an independent route (dense
 solves, analytic moments, brute-force baselines) and checks the package
 output at a fixed tolerance.  Criteria 01-04, 09 and 10 are the checks of
-`sgpts verify` at their full sizes.  Budgeted gates also enforce their
-wall-clock limit.
+`sgpts verify` at their full sizes, and criterion 07's rule is
+`verify.check_regret_vs_random`, which `sgpts bench` applies too.  Budgeted
+gates also enforce their wall-clock limit.
 """
 
 import math
@@ -17,8 +18,8 @@ import time
 import numpy as np
 
 from sgpts import verify
-from sgpts.benchmarks import get_benchmark, random_search
-from sgpts.engine import RunConfig, resolve_config, run_sgp_ts, step_regret_bound
+from sgpts.benchmarks import get_benchmark
+from sgpts.engine import RunConfig, random_search, resolve_config, run_sgp_ts, step_regret_bound
 from sgpts.exact_gp import batch_sigma_bound, fit_exact
 from sgpts.kernels import KernelSpec, tail_mass
 from sgpts.sampling import decoupled_mean_cov
@@ -106,37 +107,36 @@ def test_criterion_07_regret_vs_random():
     bench1 = get_benchmark("multimodal1d")
     cfg1 = RunConfig(objective="multimodal1d", T=30, B=10, m=20, M=256,
                      lengthscale=(0.05,), inducing="greedy", grid_cap=2000)
+    half = cfg1.T // 2
     t0 = time.monotonic()
-    finals, halves = [], []
+    logs1, halves = [], []
     for seed in range(10):
         log = run_sgp_ts(cfg1, bench1, seed)
-        finals.append(log.final_simple_regret)
+        logs1.append(log)
         cum = {r.t: r.cum_regret for r in log.rows}
-        halves.append((cum[15] / 150.0, (cum[30] - cum[15]) / 150.0))
+        halves.append((cum[half] / (half * cfg1.B),
+                       (cum[cfg1.T] - cum[half]) / ((cfg1.T - half) * cfg1.B)))
     secs1 = time.monotonic() - t0
-    rand1 = float(np.mean([random_search(bench1, bench1.noise_var, 300, s, 10)
-                           .final_simple_regret for s in range(10)]))
-    ours1 = float(np.mean(finals))
     first = float(np.mean([h[0] for h in halves]))
     second = float(np.mean([h[1] for h in halves]))
-    part1 = ours1 < 0.5 * rand1 and second < first and secs1 < 300.0
+    ok1, detail1 = verify.check_regret_vs_random(
+        logs1, [random_search(cfg1, bench1, log.run_seed) for log in logs1])
+    part1 = ok1 and second < first and secs1 < 300.0
 
     bench2 = get_benchmark("hartmann6")
     cfg2 = RunConfig(objective="hartmann6", T=25, B=20, m=100, M=512,
                      lengthscale=(0.2,), features="rff", inducing="kmeans",
                      grid_cap=40000)
     t1 = time.monotonic()
-    ours2 = float(np.mean([run_sgp_ts(cfg2, bench2, s).final_simple_regret
-                           for s in range(5)]))
+    logs2 = [run_sgp_ts(cfg2, bench2, seed) for seed in range(5)]
     secs2 = time.monotonic() - t1
-    rand2 = float(np.mean([random_search(bench2, bench2.noise_var, 500, s, 20)
-                           .final_simple_regret for s in range(5)]))
-    part2 = rand2 >= 2.0 * ours2 and secs2 < 1200.0
+    ok2, detail2 = verify.check_regret_vs_random(
+        logs2, [random_search(cfg2, bench2, log.run_seed) for log in logs2])
+    part2 = ok2 and secs2 < 1200.0
 
     _gate(7, "regret-vs-random", part1 and part2,
-          f"1d: {ours1:.4f} vs random {rand1:.4f}, per-eval halves "
-          f"{first:.4f}->{second:.4f}, {secs1:.0f}s; hartmann6: {ours2:.3f} vs "
-          f"random {rand2:.3f} ({rand2/max(ours2,1e-12):.1f}x), {secs2:.0f}s")
+          f"1d: {detail1}, per-eval halves {first:.4f}->{second:.4f}, {secs1:.0f}s; "
+          f"hartmann6: {detail2}, {secs2:.0f}s")
 
 
 def test_criterion_08_theory_bound_dominance():

@@ -7,9 +7,10 @@ from sgpts.benchmarks import (
     NoiseModel,
     certify,
     get_benchmark,
-    random_search,
 )
+from sgpts.engine import RunConfig, RunLog, random_search
 from sgpts.errors import InvalidInputError
+from sgpts.verify import check_regret_vs_random
 
 
 class TestShekel:
@@ -152,7 +153,8 @@ class TestCertification:
 class TestRandomSearch:
     def test_single_point(self):
         b = get_benchmark("multimodal1d")
-        log = random_search(b, 0.0, budget=1, seed=0)
+        cfg = RunConfig(objective="multimodal1d", T=1, B=1, noise_var=0.0, tau=0.01)
+        log = random_search(cfg, b, 0)
         assert len(log.rows) == 1
         r = log.rows[0]
         assert 0.0 <= r.x[0] <= 1.0
@@ -160,32 +162,64 @@ class TestRandomSearch:
 
     def test_deterministic(self):
         b = get_benchmark("multimodal2d")
-        a = random_search(b, 0.01, budget=30, seed=5, batch_size=10)
-        c = random_search(b, 0.01, budget=30, seed=5, batch_size=10)
+        cfg = RunConfig(objective="multimodal2d", T=3, B=10, noise_var=0.01)
+        a = random_search(cfg, b, 5)
+        c = random_search(cfg, b, 5)
         assert a.to_csv() == c.to_csv()
-        d = random_search(b, 0.01, budget=30, seed=6, batch_size=10)
+        d = random_search(cfg, b, 6)
         assert a.to_csv() != d.to_csv()
 
     def test_more_budget_helps(self):
         b = get_benchmark("multimodal1d")
-        short = [random_search(b, 0.01, 50, s).final_simple_regret for s in range(20)]
-        long = [random_search(b, 0.01, 500, s).final_simple_regret for s in range(20)]
-        assert np.median(long) < np.median(short)
+
+        def finals(T):
+            cfg = RunConfig(objective="multimodal1d", T=T, B=1, noise_var=0.01)
+            return [random_search(cfg, b, s).final_simple_regret for s in range(20)]
+
+        assert np.median(finals(500)) < np.median(finals(50))
 
     def test_budget_validation(self):
+        """The budget is the config's T batches of B points, validated with it."""
         b = get_benchmark("multimodal1d")
-        with pytest.raises(InvalidInputError):
-            random_search(b, 0.01, budget=0, seed=0)
-        with pytest.raises(InvalidInputError):
-            random_search(b, 0.01, budget=7, seed=0, batch_size=2)
+        for kw in (dict(T=0), dict(B=0)):
+            with pytest.raises(InvalidInputError, match=f"field '{next(iter(kw))}'"):
+                random_search(RunConfig(objective="multimodal1d", **kw), b, 0)
 
     def test_noise_reconstructs(self):
         from sgpts.util import rng_from_path
 
         b = get_benchmark("multimodal1d")
-        log = random_search(b, 0.04, budget=12, seed=9, batch_size=4)
+        log = random_search(RunConfig(objective="multimodal1d", T=3, B=4, noise_var=0.04), b, 9)
         for t in (1, 2, 3):
             rows = [r for r in log.rows if r.t == t]
             want = np.sqrt(0.04) * rng_from_path(9, t, 7777).standard_normal(4)
             got = np.array([r.y - r.f_true for r in rows])
             assert np.allclose(got, want, atol=1e-15)
+
+
+def _final_regret_log(seed, simple_regret):
+    log = RunLog(run_seed=seed, dim=1)
+    log.add_row(t=1, b=0, x=(0.5,), y=0.0, f_true=0.0, alpha_t=1.0, beta_t=1.0, n_grid=1,
+                m_t=1, cum_regret=1.0, simple_regret=simple_regret)
+    return log
+
+
+class TestRegretVsRandom:
+    def test_random_must_exceed_twice_the_runs(self):
+        runs = [_final_regret_log(s, r) for s, r in ((0, 0.1), (1, 0.3))]
+        ok, detail = check_regret_vs_random(runs, [_final_regret_log(0, 0.4),
+                                                   _final_regret_log(1, 0.4000001)])
+        assert ok and "ratio 2.00" in detail
+        ok, _ = check_regret_vs_random(runs, [_final_regret_log(0, 0.4),
+                                              _final_regret_log(1, 0.4)])
+        assert not ok
+
+    @pytest.mark.parametrize("base_seeds", [(), (0,), (1, 0), (0, 2)])
+    def test_runs_and_baselines_pair_up_by_seed(self, base_seeds):
+        runs = [_final_regret_log(s, 0.1) for s in (0, 1)]
+        with pytest.raises(InvalidInputError, match="pair up by run_seed"):
+            check_regret_vs_random(runs, [_final_regret_log(s, 1.0) for s in base_seeds])
+
+    def test_no_runs_is_no_verdict(self):
+        with pytest.raises(InvalidInputError):
+            check_regret_vs_random([], [])

@@ -280,7 +280,7 @@ def test_bench_comparison(tmp_path, capsys):
     assert lines[1].startswith("sgpts,") and lines[2].startswith("random,")
     for seed in (0, 1):
         assert (out / f"baseline_seed{seed}.csv").exists()
-    assert "advantage" in capsys.readouterr().out
+    assert "regret-vs-random: " in capsys.readouterr().out
 
 
 def test_certify_single_objective(capsys):

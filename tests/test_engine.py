@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from sgpts import engine, util
-from sgpts.benchmarks import Benchmark, get_benchmark, random_search
+from sgpts.benchmarks import Benchmark, get_benchmark
 from sgpts.engine import (
     RunConfig,
     RunLog,
@@ -26,6 +26,7 @@ from sgpts.engine import (
     growth_exponents,
     growth_schedule,
     parse_config,
+    random_search,
     regret_bound,
     resolve_config,
     run_sgp_ts,
@@ -119,6 +120,9 @@ class TestRunConfig:
             (dict(lengthscale=(math.nan,)), "'lengthscale'"),
             (dict(lengthscale=(math.inf,)), "'lengthscale'"),
             (dict(kernel="matern", nu=3.0), "'nu'"),
+            (dict(kernel="matern", features="mercer"), "'features'.*kernel=matern"),
+            (dict(variant="features", alpha_mode="theoretical", m=96), "'m'.*below.*'M'"),
+            (dict(variant="features", alpha_mode="theoretical", m=200), "'m'.*below.*'M'"),
         ],
     )
     def test_each_invalid_field_is_named(self, kw, field):
@@ -158,6 +162,22 @@ class TestRunConfig:
         bench = get_benchmark("multimodal2d")
         with pytest.raises(ConfigError, match="lengthscale"):
             resolve_config(RunConfig(objective="multimodal2d", lengthscale=(0.1, 0.2, 0.3)), bench)
+
+    def test_resolve_rejects_an_undefined_growth_schedule(self):
+        # the points rule needs 2 nu > d: nu = 1.5 fails at hartmann6's d = 6
+        cfg = RunConfig(objective="hartmann6", kernel="matern", nu=1.5, m_mode="growth")
+        with pytest.raises(ConfigError, match="'m_mode'=growth on hartmann6: .*2 nu > d"):
+            resolve_config(cfg, get_benchmark("hartmann6"))
+        # and holds at multimodal2d's d = 2
+        resolve_config(dataclasses.replace(cfg, objective="multimodal2d"),
+                       get_benchmark("multimodal2d"))
+
+    def test_resolve_rejects_a_growth_schedule_that_reaches_M(self):
+        # a theoretical features run reads the tail past m_t; m_T = ceil(log 3) = 2
+        cfg = tiny_cfg(T=3, variant="features", alpha_mode="theoretical", m_mode="growth", M=2)
+        with pytest.raises(ConfigError, match="'M' must exceed the 2 features"):
+            resolve_config(cfg, get_benchmark("multimodal1d"))
+        resolve_config(dataclasses.replace(cfg, M=3), get_benchmark("multimodal1d"))
 
 
 class TestParseConfig:
@@ -347,17 +367,28 @@ class TestRegretBound:
             regret_bound(5, 2, 0.0, 3.0, 2.0, 1.0, 1.2, 0.1, 1.5)
         with pytest.raises(InvalidInputError):
             regret_bound(5, 2, 0.5, -1.0, 2.0, 1.0, 1.2, 0.1, 1.5)
+        for i in range(2, 9):
+            args = [5, 2, 0.5, 3.0, 2.0, 1.0, 1.2, 0.1, 1.5]
+            args[i] = math.nan
+            with pytest.raises(InvalidInputError):
+                regret_bound(*args)
 
 
     def test_step_bound_reads_nan_quality_as_one_and_zero(self):
-        cfg = SimpleNamespace(B=2, tau=0.5, b_norm=1.5)
+        cfg = SimpleNamespace(B=2, tau=0.5, b_norm=1.5, alpha_mode="fixed")
         step = SimpleNamespace(t=5, gamma_t=3.0, beta_t=2.0, alpha_t=1.0,
                                a_over_t=math.nan, eps_t=math.nan)
         assert step_regret_bound(cfg, step) == regret_bound(5, 2, 0.5, 3.0, 2.0, 1.0,
                                                             1.0, 0.0, 1.5)
+        cfg.alpha_mode = "theoretical"
         step.a_over_t, step.eps_t = 1.2, 0.1
         assert step_regret_bound(cfg, step) == regret_bound(5, 2, 0.5, 3.0, 2.0, 1.0,
                                                             1.2, 0.1, 1.5)
+        # theoretical mode logs both constants: a NaN is a fault, not fixed mode
+        for nan_col in ("a_over_t", "eps_t"):
+            bad = SimpleNamespace(**{**vars(step), nan_col: math.nan})
+            with pytest.raises(InvalidInputError, match="NaN"):
+                step_regret_bound(cfg, bad)
 
 
 class TestGrowthSchedule:
@@ -662,6 +693,18 @@ class TestRunLoop:
         assert "kappa" in log.abort_reason
         assert len(log.rows) == 3 and len(log.steps) == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_spectrum_gives_finite_theory_columns(self):
+        # at lengthscale 5 the 128-term spectrum's tail underflows to 0.0
+        cfg = parse_config((REPO / "configs" / "theoretical.cfg").read_text(),
+                           ("lengthscale=5.0",))
+        log = run_sgp_ts(cfg, get_benchmark(cfg.objective), 0)
+        assert not log.aborted and len(log.steps) == cfg.T
+        for s in log.steps:
+            assert all(math.isfinite(v) for v in (s.alpha_t, s.beta_t, s.kappa_t, s.eps_t,
+                                                   s.a_under_t, s.a_over_t, s.c_t))
+        assert len({r.x for r in log.rows}) > 2
+
     def test_theoretical_mode_bound_dominates(self):
         bench = get_benchmark("multimodal1d")
         cfg = RunConfig(objective="multimodal1d", T=6, B=2, lengthscale=(0.2,),
@@ -849,7 +892,7 @@ class TestBaselineTraceCompat:
     def test_random_search_uses_same_schema(self):
         bench = get_benchmark("multimodal1d")
         ours = run_sgp_ts(tiny_cfg(), bench, seed=0)
-        theirs = random_search(bench, 0.01, budget=12, seed=0, batch_size=3)
+        theirs = random_search(tiny_cfg(), bench, seed=0)
         assert ours.to_csv().splitlines()[0] == theirs.to_csv().splitlines()[0]
 
 
@@ -880,8 +923,8 @@ class TestRecordedRunLogs:
         script = (
             "import hashlib, json, sys\n"
             "from pathlib import Path\n"
-            "from sgpts.benchmarks import get_benchmark, random_search\n"
-            "from sgpts.engine import parse_config, resolve_config, run_sgp_ts\n"
+            "from sgpts.benchmarks import get_benchmark\n"
+            "from sgpts.engine import parse_config, random_search, run_sgp_ts\n"
             "sha = lambda text: hashlib.sha256(text.encode()).hexdigest()\n"
             "out = {}\n"
             "for name in ('multimodal1d', 'theoretical'):\n"
@@ -889,10 +932,9 @@ class TestRecordedRunLogs:
             "    for seed in (0, 1):\n"
             "        log = run_sgp_ts(cfg, get_benchmark(cfg.objective), seed)\n"
             "        out[f'{name}:{seed}:steps'] = sha(log.steps_to_csv())\n"
-            "bench = get_benchmark(cfg.objective)\n"
-            "cfg = resolve_config(parse_config(Path('configs/multimodal1d.cfg').read_text()), bench)\n"
-            "out['multimodal1d:0:baseline'] = sha(random_search(\n"
-            "    bench, cfg.noise_var, cfg.T * cfg.B, 0, cfg.B).to_csv())\n"
+            "cfg = parse_config(Path('configs/multimodal1d.cfg').read_text())\n"
+            "out['multimodal1d:0:baseline'] = sha(\n"
+            "    random_search(cfg, get_benchmark(cfg.objective), 0).to_csv())\n"
             "json.dump(out, sys.stdout)\n"
         )
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgpts import util
-from sgpts.errors import InvalidInputError, UnsupportedDecompositionError
+from sgpts.errors import InvalidInputError, NumericalDegeneracyError, UnsupportedDecompositionError
 from sgpts.kernels import (
     _COPY_BLOCK,
     _MEMO_SLOTS,
@@ -314,6 +314,21 @@ class TestTailMass:
         tm = tail_mass(fm, 12)
         direct = np.sum(fm.lambdas[12:] * fm.sup_bounds[12:] ** 2)
         assert tm >= direct > 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_spectrum_closes_at_its_body(self):
+        # a long lengthscale's last terms underflow to 0.0: no ratio to continue
+        fm = mercer_truncate(se(ls=5.0), 128, [0.0], [1.0])
+        terms = fm.lambdas * fm.sup_bounds ** 2
+        assert terms[-1] == 0.0
+        for m in (14, 127):
+            assert tail_mass(fm, m) == float(np.sum(terms[m:]))
+
+    def test_non_finite_tail_raises(self):
+        fm = FeatureMap(kind="mercer", dim=1, lambdas=np.array([1.0, 1.0, np.inf, 1.0]),
+                        sup_bounds=np.ones(4))
+        with pytest.raises(NumericalDegeneracyError, match="tail mass"):
+            tail_mass(fm, 1)
 
     def test_rff_rejected(self):
         with pytest.raises(UnsupportedDecompositionError):
