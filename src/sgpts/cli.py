@@ -17,7 +17,7 @@ from . import util
 from .benchmarks import BENCHMARKS, certify, get_benchmark
 from .engine import (RunConfig, parse_config, random_search, resolve_config, run_sgp_ts,
                      step_regret_bound)
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalDegeneracyError
 from .util import format_float
 from .verify import check_regret_vs_random, format_results, run_checks
 
@@ -49,9 +49,14 @@ def _load_config(args) -> RunConfig:
 
 
 def _one_run(cfg: RunConfig, seed: int):
+    """(seed, log, seconds); a run that ends in NumericalDegeneracyError has
+    that error in place of its log."""
     bench = get_benchmark(cfg.objective)
     t0 = time.time()
-    log = run_sgp_ts(cfg, bench, seed)
+    try:
+        log = run_sgp_ts(cfg, bench, seed)
+    except NumericalDegeneracyError as e:
+        log = e
     return seed, log, time.time() - t0
 
 
@@ -85,6 +90,8 @@ def cmd_run(args) -> int:
     seeds = _parse_seeds(args.seeds)
     outdir = Path(args.out)
     results = _run_all(cfg, seeds)
+    failed = [(seed, log) for seed, log, _ in results if isinstance(log, Exception)]
+    results = [r for r in results if not isinstance(r[1], Exception)]
     for seed, log, _ in results:
         _write(outdir / f"run_seed{seed}.csv", log.to_csv())
         _write(outdir / f"steps_seed{seed}.csv", log.steps_to_csv())
@@ -94,10 +101,11 @@ def cmd_run(args) -> int:
         status = "aborted: " + log.abort_reason if log.aborted else "ok"
         print(f"seed {seed}: cum={log.final_cum_regret:.4f} "
               f"simple={log.final_simple_regret:.4f} ({status})")
+    for seed, err in failed:
+        print(f"seed {seed} failed: {type(err).__name__}: {err}", file=sys.stderr)
     if aborted:
         print(f"aborted seeds: {', '.join(map(str, aborted))}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if aborted or failed else 0
 
 
 def cmd_verify(args) -> int:
@@ -145,6 +153,9 @@ def cmd_bench(args) -> int:
     seeds = _parse_seeds(args.seeds)
     outdir = Path(args.out)
     logs = [log for _, log, _ in _run_all(cfg, seeds)]
+    for log in logs:
+        if isinstance(log, Exception):
+            raise log
     base_logs = [random_search(cfg, bench, s) for s in seeds]
     for log, blog in zip(logs, base_logs):
         _write(outdir / f"run_seed{log.run_seed}.csv", log.to_csv())
@@ -215,9 +226,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidInputError, FileNotFoundError) as e:
+    except (InvalidInputError, FileNotFoundError, NumericalDegeneracyError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, NumericalDegeneracyError) else 2
 
 
 if __name__ == "__main__":

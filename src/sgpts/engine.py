@@ -1,5 +1,8 @@
 """Batch Thompson-sampling optimization loop with exploration scaling schedules.
 
+run_sgp_ts sets up one private _Run, the run's state, and loops over its
+step(t), one method per phase.
+
 Also houses the theory-side calculators: the cumulative-regret bound, the
 horizon-driven growth rules for inducing sizes, and regret accounting.
 """
@@ -446,29 +449,156 @@ def _schedule_m(cfg: RunConfig, dim: int, t: int) -> int:
     return growth_schedule(cfg.kernel, cfg.nu, dim, t, cfg.variant)[0]
 
 
-def _fit_step_model(data: Dataset, spec: KernelSpec, cfg: RunConfig, bench: Benchmark,
-                    fm: FeatureMap, m_t: int, seed: int, t: int,
-                    F_obs: Optional[np.ndarray] = None) -> tuple[SvgpModel, Optional[np.ndarray]]:
-    """Surrogate for step t, refit from scratch on everything observed so far.
+@dataclass
+class _Run:
+    """One run_sgp_ts call: the run's constants, the state each step hands the
+    next, and a method per phase of a step.  Public functions are called by
+    their module-global names, so a patched engine.<name> sees every call."""
 
-    F_obs, when given, is fm.features(data.X).  Returns the model and, when
-    its inducing points are rows of data.X, their features Phi(Z) from F_obs.
-    """
-    if cfg.variant == "features":
-        m_eff = min(m_t, fm.count)
-        return fit_svgp_closed_form(data, spec, cfg.tau, feature_map=fm, m=m_eff, F=F_obs), None
-    Phi = None
-    if data.n == 0:
-        lo, hi = as_box(bench.lo, bench.hi)
-        Z = lo + _unit_halton(bench.dim, m_t) * (hi - lo)
-    elif cfg.inducing == "greedy":
-        picks = select_inducing_greedy(data, spec, min(m_t, data.n), stop_early=True)
-        Z = data.X[picks]
-        Phi = None if F_obs is None else F_obs[:, picks]
-    else:
-        Z = select_inducing_kmeans(data, min(m_t, data.distinct_rows.shape[0]),
-                                   derive_seed(seed, t, _KMEANS_TAG))
-    return fit_svgp_closed_form(data, spec, cfg.tau, Z=Z), Phi
+    cfg: RunConfig                                      # resolved
+    bench: Benchmark
+    seed: int
+    spec: KernelSpec = field(init=False)
+    fm: FeatureMap = field(init=False)
+    noise: NoiseModel = field(init=False)
+    log: RunLog = field(init=False)
+    delta_M: float = field(init=False)                  # theoretical mode's fm tail
+    data: Dataset = field(init=False)
+    model: SvgpModel = field(init=False)
+    Phi_Z: Optional[np.ndarray] = field(init=False)     # when Z are rows of data.X
+    gamma: Optional[float] = field(init=False)          # step t's realized gamma
+    c1: float = field(init=False, default=1.0)          # largest c_1 so far
+    cum: float = field(init=False, default=0.0)         # cumulative regret
+    grid_pts: Optional[np.ndarray] = field(init=False, default=None)    # the last grid
+    grid_F: Optional[np.ndarray] = field(init=False, default=None)      # and its features
+    F_data: Optional[np.ndarray] = field(init=False)    # Mercer features of data.X
+
+    def __post_init__(self):
+        cfg, bench = self.cfg, self.bench
+        self.spec = KernelSpec(
+            family=cfg.kernel, dim=bench.dim, lengthscales=cfg.lengthscale,
+            variance=cfg.variance, nu=cfg.nu if cfg.kernel == "matern" else None,
+        )
+        if cfg.feature_kind() == "mercer":
+            self.fm = mercer_truncate(self.spec, cfg.M, bench.lo, bench.hi)
+        else:
+            self.fm = rff_sample(self.spec, cfg.M, derive_seed(self.seed, _RFF_TAG))
+        # conservative stand-in for the spectral mass past the sampler's
+        # truncation: the last computed term plus its geometric continuation
+        self.delta_M = (tail_mass(self.fm, self.fm.count - 1)
+                        if cfg.alpha_mode == "theoretical" else math.nan)
+        self.noise = NoiseModel(cfg.noise_var)
+        self.log = RunLog(run_seed=self.seed, dim=bench.dim)
+        self.data = Dataset.empty(bench.dim, cfg.B)
+        # one feature column per observation, copied from grid_F's columns: every
+        # queried point is a grid point, and a Mercer feature is elementwise in x,
+        # so grid_F[:, idx] equals fm.features(grid.points[idx]) bit for bit.  RFF
+        # features come from the GEMM X @ freqs^T, which need not round a row the
+        # same alone.
+        self.F_data = np.empty((self.fm.count, cfg.T * cfg.B)) if self.fm.kind == "mercer" else None
+        self.model, self.Phi_Z = self._fit(0)
+        # step 1's realized gamma, of no data; each step's refit brings the next one
+        self.gamma = (information_gain(self.data, self.spec, cfg.tau)
+                      if cfg.gamma_mode == "realized" else None)
+
+    @property
+    def F_obs(self) -> Optional[np.ndarray]:
+        return None if self.F_data is None else self.F_data[:, :self.data.n]
+
+    def step(self, t: int) -> None:
+        """Step t, phase by phase, logged."""
+        grid = self._grid(t)
+        columns = self._schedule(t, grid.n_points)
+        X_batch, idx = self._select(t, grid, columns["alpha_t"])
+        f_true, y = self._observe(t, X_batch, idx)
+        m_t = self.model.m_count        # of the model that chose the batch
+        simple = self._refit(t, grid.n_points)
+        for b in range(self.cfg.B):
+            self.cum += self.bench.f_star - float(f_true[b])
+            self.log.add_row(t=t, b=b, x=X_batch[b], y=float(y[b]), f_true=float(f_true[b]),
+                             alpha_t=columns["alpha_t"], beta_t=columns["beta_t"],
+                             n_grid=grid.n_points, m_t=m_t, cum_regret=self.cum,
+                             simple_regret=simple)
+        self.log.add_step(t=t, n_grid=grid.n_points, m_t=m_t, **columns)
+
+    def _grid(self, t: int):
+        return build_grid(self.bench.lo, self.bench.hi, t, self.cfg.lipschitz, self.cfg.grid_cap)
+
+    def _schedule(self, t: int, n_grid: int) -> dict:
+        """Step t's schedule columns of its StepRecord.  In theoretical mode an
+        infeasible scaling raises ExplorationInfeasibleError, before gamma is read."""
+        cfg, model = self.cfg, self.model
+        quality = None
+        if cfg.alpha_mode == "theoretical":
+            self.c1 = max(self.c1, precision_sup_norm(model))
+            # delta_m, the largest pointwise prior-variance shortfall of the
+            # rank-m approximation; the t = 1 model is the prior, with no
+            # defect and no eps0, so kappa = 0
+            if t == 1:
+                delta_m, eps0 = 0.0, 0.0
+            elif model.variant == "features":
+                delta_m, eps0 = tail_mass(model.feature_map, model.m_count), cfg.eps0
+            else:
+                delta_m = float(max(np.max(model.nystrom_residual(self.data.X)), 0.0))
+                eps0 = cfg.eps0
+            quality = approximation_constants(max(t - 1, 1), cfg.B, model.m_count, cfg.tau,
+                                              cfg.delta, delta_m, self.delta_M, self.c1,
+                                              cfg.variant, eps0)
+        gamma_t = (self.gamma if cfg.gamma_mode == "realized"
+                   else gamma_bound(self.spec, max(2.0, float(self.data.n))))
+        alpha_t, b_t, beta_t = schedule_alpha(t, n_grid, cfg, gamma_t, quality)
+        return dict(alpha_t=alpha_t, b_t=b_t, beta_t=beta_t, gamma_t=gamma_t,
+                    **{col: math.nan if quality is None else getattr(quality, name)
+                       for col, name in _QUALITY_COLUMNS.items()})
+
+    def _select(self, t: int, grid, alpha_t: float) -> tuple[np.ndarray, np.ndarray]:
+        if not np.array_equal(grid.points, self.grid_pts):
+            self.grid_pts, self.grid_F = grid.points, self.fm.features(grid.points)
+        return select_batch(self.model, self.fm, grid, self.cfg.B, alpha_t,
+                            derive_seed(self.seed, t), F=self.grid_F, Phi=self.Phi_Z)
+
+    def _observe(self, t: int, X_batch: np.ndarray, idx: np.ndarray):
+        """Evaluate the batch and add it, with its noise, to the data: (f_true, y)."""
+        B, n = self.cfg.B, self.data.n
+        f_true = self.bench.evaluate(X_batch)
+        y = f_true + self.noise.draw(rng_from_path(self.seed, t, _NOISE_TAG), B)
+        if self.F_data is not None:
+            self.F_data[:, n:n + B] = self.grid_F[:, idx]
+        self.data = self.data.append_batch(X_batch, y)
+        return f_true, y
+
+    def _refit(self, t: int, n_grid: int) -> float:
+        """Refit after step t beside step t + 1's realized gamma, which depends
+        on the data alone; returns the refit's believed best's simple regret."""
+        if self.cfg.gamma_mode == "realized" and t < self.cfg.T:
+            (self.model, self.Phi_Z), self.gamma = together(
+                n_grid, lambda: self._fit(t),
+                lambda: information_gain(self.data, self.spec, self.cfg.tau))
+        else:
+            self.model, self.Phi_Z = self._fit(t)
+        bb_x, _ = believed_best(self.model, self.data.X, F=self.F_obs)
+        return self.bench.f_star - float(self.bench.evaluate(bb_x.reshape(1, -1))[0])
+
+    def _fit(self, t: int) -> tuple[SvgpModel, Optional[np.ndarray]]:
+        """Step t + 1's surrogate, refit from scratch on everything observed so
+        far, and Phi(Z) from F_obs when its inducing points are rows of data.X."""
+        cfg, data, spec, F_obs = self.cfg, self.data, self.spec, self.F_obs
+        m_t = _schedule_m(cfg, self.bench.dim, min(t + 1, cfg.T))
+        if cfg.variant == "features":
+            return fit_svgp_closed_form(data, spec, cfg.tau, feature_map=self.fm,
+                                        m=min(m_t, self.fm.count), F=F_obs), None
+        Phi = None
+        if data.n == 0:
+            lo, hi = as_box(self.bench.lo, self.bench.hi)
+            Z = lo + _unit_halton(self.bench.dim, m_t) * (hi - lo)
+        elif cfg.inducing == "greedy":
+            picks = select_inducing_greedy(data, spec, min(m_t, data.n))
+            Z = data.X[picks]
+            Phi = None if F_obs is None else F_obs[:, picks]
+        else:
+            Z = select_inducing_kmeans(data, min(m_t, data.distinct_rows.shape[0]),
+                                       derive_seed(self.seed, t, _KMEANS_TAG))
+        return fit_svgp_closed_form(data, spec, cfg.tau, Z=Z), Phi
 
 
 def run_sgp_ts(cfg: RunConfig, bench: Benchmark, seed: int) -> RunLog:
@@ -477,92 +607,16 @@ def run_sgp_ts(cfg: RunConfig, bench: Benchmark, seed: int) -> RunLog:
     Each step fits the surrogate on all data so far, draws B approximate
     posterior samples scaled by alpha_t, queries their grid maximizers, and
     logs regret against the certified optimum.  In theoretical alpha mode an
-    infeasible exploration scaling aborts the run with a partial log.
-
-    The realized gamma of step t + 1 depends on the data alone, so
-    util.together runs it beside step t's refit.
+    infeasible exploration scaling aborts the run with a partial log.  The
+    private _Run holds the run's state and its steps' phases.
     """
-    cfg = resolve_config(cfg, bench)
-    spec = KernelSpec(
-        family=cfg.kernel, dim=bench.dim, lengthscales=cfg.lengthscale,
-        variance=cfg.variance, nu=cfg.nu if cfg.kernel == "matern" else None,
-    )
-    if cfg.feature_kind() == "mercer":
-        fm = mercer_truncate(spec, cfg.M, bench.lo, bench.hi)
-    else:
-        fm = rff_sample(spec, cfg.M, derive_seed(seed, _RFF_TAG))
-    noise = NoiseModel(cfg.noise_var)
-    log = RunLog(run_seed=seed, dim=bench.dim)
-    data = Dataset.empty(bench.dim, cfg.B)
-    model, Phi_Z = _fit_step_model(data, spec, cfg, bench, fm, _schedule_m(cfg, bench.dim, 1),
-                                   seed, 0)
-    # step 1's realized gamma, of no data; each step's refit brings the next one
-    gamma = information_gain(data, spec, cfg.tau) if cfg.gamma_mode == "realized" else None
-    c1_run = 1.0
-    cum = 0.0
-    # the last grid and its features, reused while it repeats
-    grid_pts = grid_F = None
-    # one feature column per observation, copied from grid_F's columns: every
-    # queried point is a grid point, and a Mercer feature is elementwise in x,
-    # so grid_F[:, idx] equals fm.features(grid.points[idx]) bit for bit.  RFF
-    # features come from the GEMM X @ freqs^T, which need not round a row the
-    # same alone.
-    F_data = np.empty((fm.count, cfg.T * cfg.B)) if fm.kind == "mercer" else None
-    for t in range(1, cfg.T + 1):
-        grid = build_grid(bench.lo, bench.hi, t, cfg.lipschitz, cfg.grid_cap)
-        quality = None
-        if cfg.alpha_mode == "theoretical":
-            c1_run = max(c1_run, precision_sup_norm(model))
-            # conservative stand-in for the spectral mass past the sampler's
-            # truncation: the last computed term plus its geometric continuation
-            delta_M = tail_mass(fm, fm.count - 1)
-            # the t = 1 model is the prior: no defect and no eps0, so kappa = 0
-            delta_m, eps0 = (0.0, 0.0) if t == 1 else (_variance_defect(model, data), cfg.eps0)
-            try:
-                quality = approximation_constants(
-                    max(t - 1, 1), cfg.B, model.m_count, cfg.tau, cfg.delta,
-                    delta_m, delta_M, c1_run, cfg.variant, eps0,
-                )
-            except ExplorationInfeasibleError as e:
-                log.aborted = True
-                log.abort_reason = str(e)
-                break
-        gamma_t = (gamma if cfg.gamma_mode == "realized"
-                   else gamma_bound(spec, max(2.0, float(data.n))))
-        alpha_t, b_t, beta_t = schedule_alpha(t, grid.n_points, cfg, gamma_t, quality)
-        step_seed = derive_seed(seed, t)
-        if not np.array_equal(grid.points, grid_pts):
-            grid_pts, grid_F = grid.points, fm.features(grid.points)
-        X_batch, idx = select_batch(model, fm, grid, cfg.B, alpha_t, step_seed,
-                                    F=grid_F, Phi=Phi_Z)
-        f_true = bench.evaluate(X_batch)
-        y = f_true + noise.draw(rng_from_path(seed, t, _NOISE_TAG), cfg.B)
-        if F_data is not None:
-            F_data[:, data.n:data.n + cfg.B] = grid_F[:, idx]
-        data = data.append_batch(X_batch, y)
-        F_obs = None if F_data is None else F_data[:, :data.n]
-        m_logged = model.m_count
-        refit = functools.partial(_fit_step_model, data, spec, cfg, bench, fm,
-                                  _schedule_m(cfg, bench.dim, min(t + 1, cfg.T)), seed, t, F_obs)
-        if cfg.gamma_mode == "realized" and t < cfg.T:
-            (model, Phi_Z), gamma = together(
-                grid.n_points, refit, functools.partial(information_gain, data, spec, cfg.tau))
-        else:
-            model, Phi_Z = refit()
-        bb_x, _ = believed_best(model, data.X, F=F_obs)
-        simple = bench.f_star - float(bench.evaluate(bb_x.reshape(1, -1))[0])
-        for b in range(cfg.B):
-            cum += bench.f_star - float(f_true[b])
-            log.add_row(t=t, b=b, x=X_batch[b], y=float(y[b]), f_true=float(f_true[b]),
-                        alpha_t=alpha_t, beta_t=beta_t, n_grid=grid.n_points,
-                        m_t=m_logged, cum_regret=cum, simple_regret=simple)
-        log.add_step(
-            t=t, alpha_t=alpha_t, b_t=b_t, beta_t=beta_t, n_grid=grid.n_points,
-            m_t=m_logged, gamma_t=gamma_t,
-            **{col: math.nan if quality is None else getattr(quality, name)
-               for col, name in _QUALITY_COLUMNS.items()},
-        )
-    return log
+    run = _Run(resolve_config(cfg, bench), bench, seed)
+    try:
+        for t in range(1, run.cfg.T + 1):
+            run.step(t)
+    except ExplorationInfeasibleError as e:
+        run.log.aborted, run.log.abort_reason = True, str(e)
+    return run.log
 
 
 def random_search(cfg: RunConfig, bench: Benchmark, seed: int) -> RunLog:
@@ -588,9 +642,3 @@ def random_search(cfg: RunConfig, bench: Benchmark, seed: int) -> RunLog:
                         cum_regret=cum, simple_regret=bench.f_star - best_f)
     return log
 
-
-def _variance_defect(model: SvgpModel, data: Dataset) -> float:
-    """Largest pointwise prior-variance shortfall of the rank-m approximation."""
-    if model.variant == "features":
-        return tail_mass(model.feature_map, model.m_count)
-    return float(max(np.max(model.nystrom_residual(data.X)), 0.0))

@@ -277,15 +277,14 @@ def kl_to_exact(data: Dataset, model: SvgpModel) -> float:
     return max(0.5 * (tr + quad - p + logdet_e - logdet_a), 0.0)
 
 
-def select_inducing_greedy(data: Dataset, spec: KernelSpec, m: int,
-                           stop_early: bool = False) -> np.ndarray:
+def select_inducing_greedy(data: Dataset, spec: KernelSpec, m: int) -> np.ndarray:
     """Row indices of the greedy maximum-residual-variance inducing points,
     in pivoted-Cholesky order; the points are data.X[picks].
 
     Ties resolve to the lowest index, so for stationary kernels the first
-    pick is always row 0.  When the residual variance collapses before m
-    picks (duplicated inputs), stop_early returns the shorter set instead of
-    raising.
+    pick is always row 0.  When the residual variance collapses to 1e-12
+    before m picks (duplicated inputs), the shorter set is returned; with no
+    variance at the first pick, NumericalDegeneracyError is raised.
     """
     if not 1 <= m <= data.n:
         raise InvalidInputError(f"m must lie in [1, {data.n}]")
@@ -296,11 +295,9 @@ def select_inducing_greedy(data: Dataset, spec: KernelSpec, m: int,
     for j in range(m):
         p = int(np.argmax(d))
         if d[p] <= 1e-12:
-            if stop_early and picks:
+            if picks:
                 break
-            raise NumericalDegeneracyError(
-                f"residual variance collapsed after {j} picks; lower m or deduplicate inputs"
-            )
+            raise NumericalDegeneracyError("no residual variance at the first pick")
         col = K[:, p] - L[:, :j] @ L[p, :j]
         L[:, j] = col / math.sqrt(d[p])
         d = np.maximum(d - L[:, j] ** 2, 0.0)

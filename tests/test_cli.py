@@ -106,6 +106,34 @@ def test_bad_seeds_exit_2(tmp_path, capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+def degenerate_run(verb, seeds, out):
+    """multimodal1d.cfg with tau = 1e-3 and k-means inducing points: at seed 2
+    the refit's 20 x 20 Sigma fails to factor even with jitter, and the run
+    ends in NumericalDegeneracyError; seed 3 finishes."""
+    config = Path(__file__).resolve().parent.parent / "configs" / "multimodal1d.cfg"
+    return main([verb, "--config", str(config), "--override", "tau=1e-3",
+                 "--override", "inducing=kmeans", "--seeds", seeds, "--out", str(out)])
+
+
+def test_run_keeps_the_seeds_that_finish_when_another_fails(tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert degenerate_run("run", "2,3", out) == 1
+    assert sorted(p.name for p in out.iterdir()) == [
+        "run_seed3.csv", "steps_seed3.csv", "summary.csv"]
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert len(summary) == 2 and summary[1].startswith("3,")
+    captured = capsys.readouterr()
+    assert "seed 3:" in captured.out and "seed 2:" not in captured.out
+    assert "seed 2 failed: NumericalDegeneracyError: Cholesky failed" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_degenerate_bench_run_is_an_error_line(tmp_path, capsys):
+    assert degenerate_run("bench", "2", tmp_path / "bench") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Cholesky failed") and "Traceback" not in err
+
+
 def test_thread_cap_pool_path(tmp_path, monkeypatch):
     # two CPUs, whatever the host has, so the two seeds run in the pool
     monkeypatch.setattr(util, "_cpus", lambda: 2)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from sgpts import engine, util
-from sgpts.benchmarks import Benchmark, get_benchmark
+from sgpts.benchmarks import BENCHMARKS, Benchmark, get_benchmark
 from sgpts.engine import (
     RunConfig,
     RunLog,
@@ -37,15 +38,25 @@ from sgpts.errors import (
     ConfigError,
     ExplorationInfeasibleError,
     InvalidInputError,
+    NumericalDegeneracyError,
     ScheduleUndefinedError,
 )
 from sgpts.exact_gp import Dataset, batch_sigma_bound, gamma_bound, information_gain
-from sgpts.kernels import FeatureMap, KernelSpec, mercer_truncate, rff_sample
+from sgpts.kernels import FeatureMap, KernelSpec, mercer_truncate
 from sgpts.sampling import DrawSetup, _unit_halton, build_grid, select_batch
 from sgpts.svgp import SvgpModel, fit_svgp_closed_form, select_inducing_greedy
 from sgpts.util import as_box, rng_from_path
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+def avx2_host() -> bool:
+    """An x86-64 CPU with AVX2, which can run OpenBLAS's Haswell kernel."""
+    try:
+        flags = Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
+    return platform.machine() == "x86_64" and "avx2" in flags
 
 
 def strict_regret(log, f_star):
@@ -503,7 +514,7 @@ class TestObservedFeatures:
 
     def test_points_keywords_match_the_default_path(self):
         spec, fm, grid, grid_F, data, F_obs = self.observed()
-        picks = select_inducing_greedy(data, spec, 12, stop_early=True)
+        picks = select_inducing_greedy(data, spec, 12)
         model = fit_svgp_closed_form(data, spec, 0.05, Z=data.X[picks])
         Phi = F_obs[:, picks]
         assert np.array_equal(DrawSetup(model, fm, 1.5, Phi=Phi).Phi,
@@ -784,16 +795,55 @@ class TestRunLoop:
     def test_kmeans_refit_takes_one_unique(self, monkeypatch):
         bench = get_benchmark("hartmann6")
         cfg = resolve_config(parse_config((REPO / "configs" / "hartmann6.cfg").read_text()), bench)
-        spec = KernelSpec(family="se", dim=6, lengthscales=cfg.lengthscale)
         rng = np.random.default_rng(5)
         # 60 rows, 30 of them distinct: the refit asks for m = 100 and gets 30
         X = rng.uniform(0.0, 1.0, size=(30, 6))[np.tile(np.arange(30), 2)]
-        data = Dataset(X, rng.normal(size=60), 20, 3)
+        run = engine._Run(cfg, bench, 0)
+        run.data = Dataset(X, rng.normal(size=60), 20, 3)
         calls, unique = [], np.unique
         monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
-        model, _ = engine._fit_step_model(data, spec, cfg, bench, rff_sample(spec, 64, 1),
-                                          100, 0, 3)
+        model, _ = run._fit(3)
         assert model.m_count == 30 and len(calls) == 1
+
+
+class TestEveryConfigEnds:
+    """A config ends in one of four ways: a finished log of T * B rows, an
+    abort with a partial log, a ConfigError before the run starts, or
+    NumericalDegeneracyError raised mid-run.  The last is typed and loud: a
+    points-variant Sigma = P + C C^T / tau with a tiny tau can fail to factor
+    even with the retry jitter (ROADMAP item 14)."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(cfg=st.builds(
+        RunConfig,
+        objective=st.sampled_from(sorted(BENCHMARKS)),
+        T=st.integers(1, 3), B=st.integers(1, 3),
+        **{name: st.sampled_from(allowed) for name, allowed in engine._CHOICES.items()},
+        nu=st.sampled_from((1.5, 2.5)),
+        grid_cap=st.sampled_from((2, 50)),
+        m=st.integers(1, 12),
+        M=st.sampled_from((1, 2, 8, 64)),
+        lengthscale=st.sampled_from(((1e-3,), (0.05,), (0.2,), (5.0,), (1e3,))),
+        noise_var=st.sampled_from((None, 0.0, 1e-12, 0.01, 1e3)),
+        tau=st.sampled_from((None, 1e-12, 0.01, 1e3)),
+        variance=st.sampled_from((1e-6, 0.5, 1.0)),
+    ))
+    def test_a_finished_log_an_abort_or_a_typed_error(self, cfg):
+        bench = get_benchmark(cfg.objective)
+        try:
+            resolve_config(cfg, bench)
+        except ConfigError:
+            return
+        try:
+            log = run_sgp_ts(cfg, bench, 0)
+        except NumericalDegeneracyError:
+            return
+        assert len(log.rows) == len(log.steps) * cfg.B
+        if log.aborted:
+            assert log.abort_reason and 1 <= len(log.steps) < cfg.T
+        else:
+            assert len(log.steps) == cfg.T
 
 
 class TestGammaBesideTheRefit:
@@ -1003,6 +1053,50 @@ class TestRecordedRunLogs:
         assert logs["1", "1"][0].count("\n") == 6 * 20 + 1
         assert logs["1", "1"] == logs["1", "2"]
         assert logs["1", "2"][0] == logs["2", "2"][0]
+
+    @pytest.mark.skipif(not avx2_host(), reason="needs an x86-64 CPU with AVX2")
+    def test_fixed_mode_run_csvs_keep_their_digests_under_the_haswell_kernel(self):
+        """ROADMAP item 12: under OPENBLAS_CORETYPE=Haswell, the kernel an
+        AVX2-only CPU gets, at one BLAS thread, multimodal1d.cfg at seeds 0 and
+        1 and hartmann6.cfg at grid_cap=8000, seed 0, write the run CSVs whose
+        digests perfbench/digests.json records.  Both bundled OpenBLAS
+        libraries must report that they run the Haswell kernel."""
+        script = (
+            "import ctypes, glob, hashlib, json, os, sys\n"
+            "from pathlib import Path\n"
+            "import numpy, scipy.linalg\n"
+            "from sgpts.benchmarks import get_benchmark\n"
+            "from sgpts.engine import parse_config, run_sgp_ts\n"
+            "site = os.path.dirname(os.path.dirname(numpy.__file__))\n"
+            "cores = []\n"
+            "for lib in sorted(glob.glob(os.path.join(site, '*.libs', '*openblas*'))):\n"
+            "    for name in ('scipy_openblas_get_corename64_', 'scipy_openblas_get_corename'):\n"
+            "        corename = getattr(ctypes.CDLL(lib), name, None)\n"
+            "        if corename is not None:\n"
+            "            corename.restype = ctypes.c_char_p\n"
+            "            cores.append(corename().decode())\n"
+            "out = {}\n"
+            "for key, name, over, seed in (('multimodal1d:0', 'multimodal1d', (), 0),\n"
+            "                              ('multimodal1d:1', 'multimodal1d', (), 1),\n"
+            "                              ('hartmann6-cap8000:0', 'hartmann6',\n"
+            "                               ('grid_cap=8000',), 0)):\n"
+            "    cfg = parse_config(Path(f'configs/{name}.cfg').read_text(), over)\n"
+            "    log = run_sgp_ts(cfg, get_benchmark(cfg.objective), seed)\n"
+            "    out[key] = hashlib.sha256(log.to_csv().encode()).hexdigest()\n"
+            "json.dump({'cores': cores, 'digests': out}, sys.stdout)\n"
+        )
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                            os.environ.get("PYTHONPATH")])))
+        got = json.loads(subprocess.run([sys.executable, "-c", script], cwd=REPO, env=env,
+                                        capture_output=True, text=True, check=True,
+                                        timeout=300).stdout)
+        if not got["cores"]:
+            pytest.skip("numpy and scipy bundle no OpenBLAS whose kernel can be read")
+        assert set(got["cores"]) == {"Haswell"}
+        digests = json.loads((REPO / "perfbench" / "digests.json").read_text())
+        assert got["digests"] == {key: digests[key] for key in got["digests"]}
 
     def test_shipped_hartmann6_run_matches_recorded_digest(self):
         """hartmann6.cfg as shipped: 40000 Halton candidates scored in one product per batch."""

@@ -259,7 +259,7 @@ class TestAnalyticCovariance:
         cfg = resolve_config(cfg, bench)
         data = run_sgp_ts(cfg, bench, 0).to_dataset()
         spec = KernelSpec(family="se", dim=1, lengthscales=cfg.lengthscale, variance=cfg.variance)
-        picks = select_inducing_greedy(data, spec, min(cfg.m, data.n), stop_early=True)
+        picks = select_inducing_greedy(data, spec, min(cfg.m, data.n))
         model = fit_svgp_closed_form(data, spec, cfg.tau, Z=data.X[picks])
         fm = mercer_truncate(spec, 256, bench.lo, bench.hi)
         grid = build_grid(bench.lo, bench.hi, 11, cfg.lipschitz, cfg.grid_cap).points

@@ -332,11 +332,13 @@ class TestInducingSelection:
         rng = np.random.default_rng(21)
         X = rng.uniform(0, 1, size=(3, 1))[[0, 1, 2, 1, 0, 2, 2, 0]]
         data = Dataset(X, np.zeros(8), 1, 8)
-        Z = data.X[select_inducing_greedy(data, SE1, 5, stop_early=True)]
+        Z = data.X[select_inducing_greedy(data, SE1, 5)]
         assert Z.shape == (3, 1)
         assert np.array_equal(np.sort(Z, axis=0), np.unique(X, axis=0))
-        with pytest.raises(NumericalDegeneracyError):
-            select_inducing_greedy(data, SE1, 5)
+        # only a first pick without variance leaves no set to return
+        faint = KernelSpec(family="se", dim=1, lengthscales=(0.3,), variance=1e-13)
+        with pytest.raises(NumericalDegeneracyError, match="first pick"):
+            select_inducing_greedy(data, faint, 5)
 
     def test_kmeans_recovers_distinct_points(self):
         rng = np.random.default_rng(18)
