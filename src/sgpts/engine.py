@@ -45,7 +45,7 @@ from .svgp import (
     select_inducing_kmeans,
     precision_sup_norm,
 )
-from .util import as_box, derive_seed, rng_from_path, together
+from .util import _one_blas_thread, as_box, derive_seed, rng_from_path, together
 
 _NOISE_TAG = 7777
 _RFF_TAG = 909
@@ -608,14 +608,17 @@ def run_sgp_ts(cfg: RunConfig, bench: Benchmark, seed: int) -> RunLog:
     posterior samples scaled by alpha_t, queries their grid maximizers, and
     logs regret against the certified optimum.  In theoretical alpha mode an
     infeasible exploration scaling aborts the run with a partial log.  The
-    private _Run holds the run's state and its steps' phases.
+    private _Run holds the run's state and its steps' phases.  BLAS runs on
+    one thread for the whole call, so the log does not depend on the
+    caller's BLAS thread count.
     """
-    run = _Run(resolve_config(cfg, bench), bench, seed)
-    try:
-        for t in range(1, run.cfg.T + 1):
-            run.step(t)
-    except ExplorationInfeasibleError as e:
-        run.log.aborted, run.log.abort_reason = True, str(e)
+    with _one_blas_thread():
+        run = _Run(resolve_config(cfg, bench), bench, seed)
+        try:
+            for t in range(1, run.cfg.T + 1):
+                run.step(t)
+        except ExplorationInfeasibleError as e:
+            run.log.aborted, run.log.abort_reason = True, str(e)
     return run.log
 
 

@@ -4,6 +4,11 @@ Threads: together(n, *calls) is the one way work runs on the process's
 pool, beside the calling thread, and documents how long that work lives;
 over_chunks deals the chunks of a grid to threads through it.
 
+LAPACK and BLAS: one private section says how the library's factorizations
+and BLAS calls run.  chol_psd factors through scipy's own dpotrf, called
+without the GIL, and _one_blas_thread sets every bundled OpenBLAS to one
+thread for the length of a run.
+
 Seed scheme: every random stream is keyed by an integer path that starts at
 the run seed, hashed through ``numpy.random.SeedSequence``: ``rng_from_path``
 turns a path into a generator, ``derive_seed`` into a 32-bit seed.
@@ -20,13 +25,18 @@ The same path always yields the same stream, independent of call order.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import os
 import threading
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cholesky
+import scipy
+from scipy.linalg import cython_lapack
 
 from .errors import InvalidInputError, NumericalDegeneracyError
 
@@ -77,8 +87,10 @@ def together(n: int, *calls) -> list:
     calling thread's own error before the pool's, and the pool's in call
     order.  A call runs the same code on the same inputs on either thread,
     so its value has the same bits.  Threads overlap only where all but one
-    are in calls that release the GIL, such as numpy's loops and BLAS
-    (scipy.linalg's LAPACK wrappers hold it).
+    are in calls that release the GIL, such as numpy's loops, BLAS and
+    chol_psd's factor, so a run's realized gamma factors beside its refit.
+    Inside a run BLAS works on one thread (_one_blas_thread), and these
+    threads are the run's only parallelism.
     """
     if _spread(n) == 1:
         return [call() for call in calls]
@@ -156,14 +168,64 @@ def derive_seed(*path: int) -> int:
     return int(_seed_sequence(path).generate_state(1)[0])
 
 
+# ---- how the library's LAPACK and BLAS calls run -------------------------
+
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _lapack(name: str, nargs: int):
+    """scipy's LAPACK routine name, through the function pointer that
+    scipy.linalg.cython_lapack exports, as a ctypes function of nargs pointer
+    arguments.  ctypes releases the GIL for the length of each call, which
+    scipy.linalg's own wrappers hold."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    pointer = _capsule_pointer(capsule, _capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(pointer)
+
+
+_potrf, _laset = _lapack("dpotrf", 5), _lapack("dlaset", 7)
+_LOWER, _UPPER, _ZERO = (ctypes.byref(v) for v in
+                         (ctypes.c_char(b"L"), ctypes.c_char(b"U"), ctypes.c_double(0.0)))
+
+
+def _factor(mat) -> np.ndarray:
+    """scipy.linalg.cholesky(mat, lower=True) bit for bit, in the same Fortran
+    layout, without the GIL: dpotrf on a Fortran-ordered copy, then dlaset
+    sets the strict upper triangle to 0.0, as scipy's clean=True does.  A
+    non-finite entry raises ValueError, a leading minor that is not positive
+    definite LinAlgError."""
+    a = np.array(np.asarray_chkfinite(mat), dtype=float, order="F")
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if n == 0:
+        return a
+    size, info = ctypes.c_int(n), ctypes.c_int(0)
+    data = a.ctypes.data
+    _potrf(_LOWER, ctypes.byref(size), data, ctypes.byref(size), ctypes.byref(info))
+    if info.value > 0:
+        raise np.linalg.LinAlgError(f"{info.value}-th leading minor is not positive definite")
+    if n > 1:
+        # the strict upper triangle is the upper one, diagonal included, of
+        # the (n - 1)-square block that starts at a[0, 1]
+        block = ctypes.byref(ctypes.c_int(n - 1))
+        _laset(_UPPER, block, block, _ZERO, _ZERO, data + n * a.itemsize, ctypes.byref(size))
+    return a
+
+
 def chol_psd(mat: np.ndarray):
     """Lower Cholesky factor with a single jitter retry.
 
     First attempt is on the matrix as given; on failure 1e-10 is added to the
-    diagonal once.  A second failure raises NumericalDegeneracyError.
+    diagonal once.  A second failure raises NumericalDegeneracyError.  The
+    factor is scipy.linalg.cholesky(mat, lower=True)'s, bit for bit, computed
+    without holding the GIL, so a thread beside it keeps running.
     """
     try:
-        return cholesky(mat, lower=True)
+        return _factor(mat)
     except np.linalg.LinAlgError:
         pass
     # one copy, jittered in place; adding 0.0 turns a -0.0 into 0.0, as
@@ -171,11 +233,66 @@ def chol_psd(mat: np.ndarray):
     jittered = np.add(mat, 0.0, dtype=float)
     jittered.flat[:: mat.shape[0] + 1] += JITTER
     try:
-        return cholesky(jittered, lower=True)
+        return _factor(jittered)
     except np.linalg.LinAlgError as exc:
         raise NumericalDegeneracyError(
             f"Cholesky failed for {mat.shape[0]}x{mat.shape[0]} matrix even with jitter"
         ) from exc
+
+
+_OpenBlas = namedtuple("_OpenBlas", "set_threads get_threads corename")
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """An _OpenBlas of ctypes functions for each OpenBLAS that the numpy and
+    scipy wheels bundle in their <package>.libs folder, found by the names it
+    exports (numpy's end in 64_); empty under any other BLAS.  The libraries
+    are loaded already, so opening one returns the instance in use."""
+    found = []
+    for package in (np, scipy):
+        root = Path(package.__file__).parent
+        for path in sorted(root.parent.glob(f"{root.name}.libs/*openblas*")):
+            lib = ctypes.CDLL(str(path))
+            for suffix in ("64_", ""):
+                names = [f"scipy_openblas_{what}{suffix}"
+                         for what in ("set_num_threads", "get_num_threads", "get_corename")]
+                if all(hasattr(lib, name) for name in names):
+                    handle = _OpenBlas(*(getattr(lib, name) for name in names))
+                    handle.set_threads.argtypes = [ctypes.c_int]
+                    handle.corename.restype = ctypes.c_char_p
+                    found.append(handle)
+                    break
+    return tuple(found)
+
+
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_saved: list = []
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every OpenBLAS of _openblas() at one thread inside the block.  The
+    first of overlapping blocks saves each library's thread count and the
+    last to end restores it, so runs on several threads pin BLAS together.
+    A run's threads are then the grid chunks and together's calls alone, and
+    a factor rounds the same whatever the caller's BLAS threads."""
+    global _blas_users, _blas_saved
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = [(lib, lib.get_threads()) for lib in _openblas()]
+            for lib, _ in _blas_saved:
+                lib.set_threads(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                for lib, threads in _blas_saved:
+                    lib.set_threads(threads)
 
 
 def as_box(lower, upper) -> tuple[np.ndarray, np.ndarray]:

@@ -129,9 +129,20 @@ def test_run_keeps_the_seeds_that_finish_when_another_fails(tmp_path, capsys):
 
 
 def test_degenerate_bench_run_is_an_error_line(tmp_path, capsys):
-    assert degenerate_run("bench", "2", tmp_path / "bench") == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: Cholesky failed") and "Traceback" not in err
+    # bench keeps the seeds that finish, as run does, and labels its verdict
+    # over them as partial
+    out = tmp_path / "bench"
+    assert degenerate_run("bench", "2,3", out) == 1
+    assert sorted(p.name for p in out.iterdir()) == [
+        "baseline_seed3.csv", "comparison.csv", "run_seed3.csv"]
+    captured = capsys.readouterr()
+    assert "seed 2 failed: NumericalDegeneracyError: Cholesky failed" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out.startswith("regret-vs-random (partial, 1 of 2 seeds): ")
+    assert "over 1 seeds" in captured.out
+    assert degenerate_run("bench", "2", tmp_path / "none") == 1
+    assert not (tmp_path / "none").exists()
+    assert "seed 2 failed: NumericalDegeneracyError" in capsys.readouterr().err
 
 
 def test_thread_cap_pool_path(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -806,21 +807,36 @@ class TestRunLoop:
         assert model.m_count == 30 and len(calls) == 1
 
 
+# every combination of the choice fields and nu
+_CHOICE_SETS = [dict(zip([*engine._CHOICES, "nu"], values))
+                for values in itertools.product(*engine._CHOICES.values(), (1.5, 2.5))]
+
+
+def _validates(fields: dict) -> bool:
+    try:
+        RunConfig(objective="multimodal1d", **fields).validate()
+    except ConfigError:
+        return False
+    return True
+
+
 class TestEveryConfigEnds:
     """A config ends in one of four ways: a finished log of T * B rows, an
     abort with a partial log, a ConfigError before the run starts, or
     NumericalDegeneracyError raised mid-run.  The last is typed and loud: a
     points-variant Sigma = P + C C^T / tau with a tiny tau can fail to factor
-    even with the retry jitter (ROADMAP item 14)."""
+    even with the retry jitter (ROADMAP item 14).  Nine in ten examples take
+    their choice fields from the combinations validate accepts, so most of
+    them start a run; the rest from those it rejects."""
 
     @pytest.mark.filterwarnings("error")
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(cfg=st.builds(
-        RunConfig,
+        lambda choices, **numbers: RunConfig(**choices, **numbers),
+        choices=st.sampled_from([c for c in _CHOICE_SETS if _validates(c)] * 9
+                                + [c for c in _CHOICE_SETS if not _validates(c)]),
         objective=st.sampled_from(sorted(BENCHMARKS)),
         T=st.integers(1, 3), B=st.integers(1, 3),
-        **{name: st.sampled_from(allowed) for name, allowed in engine._CHOICES.items()},
-        nu=st.sampled_from((1.5, 2.5)),
         grid_cap=st.sampled_from((2, 50)),
         m=st.integers(1, 12),
         M=st.sampled_from((1, 2, 8, 64)),
@@ -968,8 +984,7 @@ class TestRecordedRunLogs:
     def test_steps_and_baseline_csvs_match_recorded_digests(self):
         """Steps CSVs of the shipped Mercer configs and a random-search baseline CSV
         (NaN alpha_t/beta_t, N_t = 0), written in a process with BLAS at one
-        thread: gamma_t factors I + K / tau, which rounds differently across
-        BLAS thread counts once n exceeds about 130 rows."""
+        thread, as the digests were recorded."""
         script = (
             "import hashlib, json, sys\n"
             "from pathlib import Path\n"
@@ -1002,36 +1017,69 @@ class TestRecordedRunLogs:
         }
 
     def test_run_csv_does_not_depend_on_blas_threads(self):
-        """hartmann6 at grid_cap=4000, m=200, T=15 writes the same run CSV bytes
-        with BLAS at 1 and at 2 threads: the grid's (draws x M) by (M x n)
-        product and the k-means fit must not round with the thread count.  The
-        steps CSV is not compared: its gamma_t factors I + K / tau, which does."""
+        """hartmann6 at grid_cap=4000, m=200, T=15, and theoretical.cfg in the
+        points variant at m=30, T=40, B=5, write the same run and steps CSV
+        bytes with BLAS at 1 and at 2 threads: a run sets BLAS to one thread,
+        so neither the grid's (draws x M) by (M x n) product, the k-means fit,
+        nor gamma_t's factor of I + K / tau, which feeds the theoretical
+        alpha_t, rounds with the caller's thread count."""
         script = (
-            "import sys\n"
+            "import json, sys\n"
             "from pathlib import Path\n"
             "from sgpts.benchmarks import get_benchmark\n"
             "from sgpts.engine import parse_config, run_sgp_ts\n"
-            "cfg = parse_config(Path('configs/hartmann6.cfg').read_text(),\n"
-            "                   ('grid_cap=4000', 'm=200', 'T=15'))\n"
-            "sys.stdout.write(run_sgp_ts(cfg, get_benchmark(cfg.objective), 0).to_csv())\n"
+            "logs = []\n"
+            "for name, over in (('hartmann6', ('grid_cap=4000', 'm=200', 'T=15')),\n"
+            "                   ('theoretical', ('variant=points', 'm=30', 'T=40', 'B=5'))):\n"
+            "    cfg = parse_config(Path(f'configs/{name}.cfg').read_text(), over)\n"
+            "    log = run_sgp_ts(cfg, get_benchmark(cfg.objective), 0)\n"
+            "    logs.append([log.to_csv(), log.steps_to_csv()])\n"
+            "json.dump(logs, sys.stdout)\n"
         )
         src = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-        csvs = []
+        logs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                        MKL_NUM_THREADS=threads, PYTHONPATH=src)
-            csvs.append(subprocess.run([sys.executable, "-c", script], cwd=REPO, env=env,
-                                       capture_output=True, text=True, check=True,
-                                       timeout=300).stdout)
-        assert csvs[0].count("\n") == 15 * 20 + 1
-        assert csvs[0] == csvs[1]
+            logs.append(json.loads(subprocess.run(
+                [sys.executable, "-c", script], cwd=REPO, env=env, capture_output=True,
+                text=True, check=True, timeout=300).stdout))
+        (h6_run, h6_steps), (th_run, th_steps) = logs[0]
+        assert h6_run.count("\n") == 15 * 20 + 1 and h6_steps.count("\n") == 15 + 1
+        assert th_run.count("\n") == 40 * 5 + 1 and th_steps.count("\n") == 40 + 1
+        assert logs[0] == logs[1]
+
+    def test_a_run_sets_blas_to_one_thread(self, monkeypatch):
+        """Inside run_sgp_ts every bundled OpenBLAS runs on one thread, on the
+        calling thread and on the pool thread beside the refit, and the
+        caller's thread counts are back once it returns."""
+        libs = util._openblas()
+        if not libs:
+            pytest.skip("numpy and scipy bundle no OpenBLAS with known thread setters")
+        seen, gain = [], engine.information_gain
+        monkeypatch.setattr(engine, "information_gain", lambda *args: (
+            seen.append((threading.current_thread().name.startswith("sgpts-grid"),
+                         [lib.get_threads() for lib in libs])) or gain(*args)))
+        monkeypatch.setattr(util, "_grid_threads", lambda: 2)
+        # grid_cap=8000 makes every step's grid two chunks, so gamma goes to the pool
+        cfg = parse_config((REPO / "configs" / "hartmann6.cfg").read_text(),
+                           ("grid_cap=8000", "T=3"))
+        before = [lib.get_threads() for lib in libs]
+        for lib in libs:
+            lib.set_threads(2)
+        try:
+            run_sgp_ts(cfg, get_benchmark(cfg.objective), 0)
+            after = [lib.get_threads() for lib in libs]
+        finally:
+            for lib, threads in zip(libs, before):
+                lib.set_threads(threads)
+        assert seen == [(False, [1] * len(libs))] + [(True, [1] * len(libs))] * 2
+        assert after == [2] * len(libs)
 
     def test_chunked_grid_logs_do_not_depend_on_thread_counts(self):
         """hartmann6 at grid_cap=8000, T=6 scores its grid as two chunks of 4000
-        points.  Scoring on one thread or two (SGPTS_THREADS) gives the same run
-        and steps CSV bytes, and BLAS at 1 or 2 threads the same run CSV bytes.
-        The steps CSV is not compared across BLAS threads: its gamma_t factors
-        I + K / tau, which rounds with them."""
+        points.  Scoring on one thread or two (SGPTS_THREADS), with BLAS at 1
+        or 2 threads outside the run, gives the same run and steps CSV bytes."""
         script = (
             "import json, sys\n"
             "from pathlib import Path\n"
@@ -1051,8 +1099,7 @@ class TestRecordedRunLogs:
                 [sys.executable, "-c", script], cwd=REPO, env=env, capture_output=True,
                 text=True, check=True, timeout=300).stdout)
         assert logs["1", "1"][0].count("\n") == 6 * 20 + 1
-        assert logs["1", "1"] == logs["1", "2"]
-        assert logs["1", "2"][0] == logs["2", "2"][0]
+        assert logs["1", "1"] == logs["1", "2"] == logs["2", "2"]
 
     @pytest.mark.skipif(not avx2_host(), reason="needs an x86-64 CPU with AVX2")
     def test_fixed_mode_run_csvs_keep_their_digests_under_the_haswell_kernel(self):
@@ -1062,19 +1109,12 @@ class TestRecordedRunLogs:
         digests perfbench/digests.json records.  Both bundled OpenBLAS
         libraries must report that they run the Haswell kernel."""
         script = (
-            "import ctypes, glob, hashlib, json, os, sys\n"
+            "import hashlib, json, sys\n"
             "from pathlib import Path\n"
-            "import numpy, scipy.linalg\n"
+            "from sgpts import util\n"
             "from sgpts.benchmarks import get_benchmark\n"
             "from sgpts.engine import parse_config, run_sgp_ts\n"
-            "site = os.path.dirname(os.path.dirname(numpy.__file__))\n"
-            "cores = []\n"
-            "for lib in sorted(glob.glob(os.path.join(site, '*.libs', '*openblas*'))):\n"
-            "    for name in ('scipy_openblas_get_corename64_', 'scipy_openblas_get_corename'):\n"
-            "        corename = getattr(ctypes.CDLL(lib), name, None)\n"
-            "        if corename is not None:\n"
-            "            corename.restype = ctypes.c_char_p\n"
-            "            cores.append(corename().decode())\n"
+            "cores = [lib.corename().decode() for lib in util._openblas()]\n"
             "out = {}\n"
             "for key, name, over, seed in (('multimodal1d:0', 'multimodal1d', (), 0),\n"
             "                              ('multimodal1d:1', 'multimodal1d', (), 1),\n"

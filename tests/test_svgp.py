@@ -157,15 +157,15 @@ class TestClosedForm:
     def test_sigma_factorization_failure_raises(self, monkeypatch):
         data = spread_data(np.random.default_rng(5), 8)
         fm = mercer_truncate(SE1, 40, [0.0], [1.0])
-        real = sgpts.util.cholesky
+        real = sgpts.util._factor
 
-        def fail_off_diagonal(a, **kw):
+        def fail_off_diagonal(a):
             # the prior Lambda_m is diagonal; only Sigma = Lambda_m + C C^T / tau is refused
             if np.count_nonzero(a - np.diag(np.diag(a))):
                 raise np.linalg.LinAlgError("forced failure")
-            return real(a, **kw)
+            return real(a)
 
-        monkeypatch.setattr(sgpts.util, "cholesky", fail_off_diagonal)
+        monkeypatch.setattr(sgpts.util, "_factor", fail_off_diagonal)
         with pytest.raises(NumericalDegeneracyError):
             fit_svgp_closed_form(data, SE1, 0.3, feature_map=fm, m=10)
 

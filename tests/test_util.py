@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky
 
 from sgpts import util
+from sgpts.kernels import KernelSpec, kernel_matrix
 
 
 def reference_shares(n, threads):
@@ -197,3 +199,122 @@ class TestTogether:
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, check=True, timeout=60)
         assert proc.stdout.split() == ["True", "2", "1", "False"]
+
+
+def gamma_gram(n, seed=0):
+    """I + K / tau for K(X, X) of an SE kernel at n uniform 6-d points, the
+    matrix a run's realized gamma factors."""
+    X = np.random.default_rng(seed).uniform(size=(n, 6))
+    K = kernel_matrix(KernelSpec(family="se", dim=6, lengthscales=(0.2,) * 6), X)
+    K /= 0.01
+    K.flat[:: n + 1] += 1.0
+    return K
+
+
+def same_array(got, want):
+    """The same bits in the same memory layout."""
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.strides == want.strides and got.tobytes("A") == want.tobytes("A"))
+
+
+class TestCholPsd:
+    """chol_psd factors through scipy's own dpotrf without the GIL and returns
+    the array scipy.linalg.cholesky(lower=True) returns, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 130, 500])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equals_scipy_cholesky(self, n, order):
+        mat = gamma_gram(n)
+        # dpotrf reads the lower triangle alone.  At n = 500 K(X, X) rounds its
+        # two triangles differently by itself; up to about 250 points its
+        # product is symmetric, so the upper triangle is nudged
+        if n < 500:
+            mat += np.triu(mat, 1) * 1e-15
+        assert n == 1 or not np.array_equal(mat, mat.T)
+        mat = np.asarray(mat, order=order)
+        got = util.chol_psd(mat)
+        assert got.flags.f_contiguous and not np.any(np.triu(got, 1))
+        assert same_array(got, cholesky(mat, lower=True))
+
+    def test_retry_equals_scipy_cholesky_of_the_jittered_matrix(self):
+        X = np.random.default_rng(0).uniform(size=(30, 6))
+        X[20:] = X[:10]
+        mat = kernel_matrix(KernelSpec(family="se", dim=6, lengthscales=(0.5,) * 6), X)
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky(mat, lower=True)
+        assert same_array(util.chol_psd(mat),
+                          cholesky(mat + util.JITTER * np.eye(30), lower=True))
+
+    def test_nan_raises_value_error(self):
+        mat = np.eye(3)
+        mat[2, 0] = np.nan
+        with pytest.raises(ValueError):
+            util.chol_psd(mat)
+
+    def test_a_thread_runs_beside_a_factor(self):
+        # at one BLAS thread, as in a run.  With the GIL held through dpotrf
+        # the spinner would stall for most of a factor (0.7-0.8 of it on a
+        # 2-vCPU host); released, its longest stall is a scheduler slice
+        mat = gamma_gram(1500)
+        with util._one_blas_thread():
+            alone = []
+            for _ in range(3):
+                start = time.perf_counter()
+                util.chol_psd(mat)
+                alone.append(time.perf_counter() - start)
+            ticks, done = [], threading.Event()
+
+            def spin():
+                while not done.is_set():
+                    ticks.append(time.perf_counter())
+
+            # the GIL changes hands every 0.5 ms instead of 5 ms, so the wait
+            # for it before and after the factor is short too
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(5e-4)
+            spinner = threading.Thread(target=spin)
+            spinner.start()
+            try:
+                start = time.perf_counter()
+                util.chol_psd(mat)
+                end = time.perf_counter()
+            finally:
+                done.set()
+                spinner.join(timeout=60)
+                sys.setswitchinterval(switch)
+        assert not spinner.is_alive()
+        inside = [start] + [t for t in ticks if start < t < end] + [end]
+        assert max(np.diff(inside)) < 0.5 * min(alone)
+
+
+class TestOneBlasThread:
+    """_one_blas_thread sets every bundled OpenBLAS to one thread inside its
+    block and restores the count after the last overlapping block ends."""
+
+    @pytest.fixture
+    def libs(self):
+        libs = util._openblas()
+        if not libs:
+            pytest.skip("numpy and scipy bundle no OpenBLAS with known thread setters")
+        before = [lib.get_threads() for lib in libs]
+        for lib in libs:
+            lib.set_threads(2)
+        yield libs
+        for lib, threads in zip(libs, before):
+            lib.set_threads(threads)
+
+    def test_overlapping_blocks_restore_at_the_last_exit(self, libs):
+        threads = lambda: [lib.get_threads() for lib in libs]
+        first, second = util._one_blas_thread(), util._one_blas_thread()
+        first.__enter__()
+        assert threads() == [1, 1]
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert threads() == [1, 1]
+        second.__exit__(None, None, None)
+        assert threads() == [2, 2]
+
+    def test_restores_after_an_error(self, libs):
+        with pytest.raises(RuntimeError), util._one_blas_thread():
+            raise RuntimeError("inside")
+        assert [lib.get_threads() for lib in libs] == [2, 2]
