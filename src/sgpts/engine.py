@@ -568,16 +568,19 @@ class _Run:
         return f_true, y
 
     def _refit(self, t: int, n_grid: int) -> float:
-        """Refit after step t beside step t + 1's realized gamma, which depends
-        on the data alone; returns the refit's believed best's simple regret."""
-        if self.cfg.gamma_mode == "realized" and t < self.cfg.T:
-            (self.model, self.Phi_Z), self.gamma = together(
-                n_grid, lambda: self._fit(t),
-                lambda: information_gain(self.data, self.spec, self.cfg.tau))
-        else:
+        """Refit after step t and pick the refit's believed best, beside step
+        t + 1's realized gamma, which depends on the data alone; returns the
+        believed best's simple regret."""
+        def refit() -> float:
             self.model, self.Phi_Z = self._fit(t)
-        bb_x, _ = believed_best(self.model, self.data.X, F=self.F_obs)
-        return self.bench.f_star - float(self.bench.evaluate(bb_x.reshape(1, -1))[0])
+            bb_x, _ = believed_best(self.model, self.data.X, F=self.F_obs)
+            return self.bench.f_star - float(self.bench.evaluate(bb_x.reshape(1, -1))[0])
+
+        if self.cfg.gamma_mode == "realized" and t < self.cfg.T:
+            simple, self.gamma = together(
+                n_grid, refit, lambda: information_gain(self.data, self.spec, self.cfg.tau))
+            return simple
+        return refit()
 
     def _fit(self, t: int) -> tuple[SvgpModel, Optional[np.ndarray]]:
         """Step t + 1's surrogate, refit from scratch on everything observed so

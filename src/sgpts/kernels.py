@@ -96,30 +96,37 @@ class KernelSpec:
             raise InvalidInputError("nu is only meaningful for the matern family")
 
 
-# cells of |a|^2 + |b|^2 that _scaled_sqdist forms at once: 256 KiB
-_SQDIST_BLOCK = 2 ** 15
+# cells of |a - b|^2 that _scaled_sqdist finishes at once, 512 KiB, so that
+# each block stays in cache through its passes
+_SQDIST_BLOCK = 2 ** 16
 
 
 def _scaled_sqdist(spec: KernelSpec, A: np.ndarray, B: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """|a - b|^2 on lengthscale-scaled points as |a|^2 + |b|^2 - 2 a.b, clamped at 0.
+                   out: np.ndarray | None = None, finish=None) -> np.ndarray:
+    """|a - b|^2 on lengthscale-scaled points as |a|^2 + |b|^2 - 2 a.b, clamped
+    at 0, then finish(block) in place on each block of rows, when given.
 
-    Computed in place in one (n, m) buffer, out when given: -2 a.b, exact
-    from the GEMM, then |a|^2 + |b|^2 added _SQDIST_BLOCK cells at a time,
-    which rounds as subtracting 2 a.b from the sum did.  b is scaled
-    separately even when B is A, so the product stays a GEMM (numpy takes
-    a @ a.T to SYRK).
+    Computed in place in one (n, m) buffer, out when given: -2 a.b from one
+    GEMM against -2 b, which has the bits of -2 times the GEMM against b;
+    then, _SQDIST_BLOCK cells at a time, |a|^2 + |b|^2 is added, which rounds
+    as subtracting 2 a.b from the sum did, and the block is clamped and
+    finished while it is in cache.  b is scaled separately even when B is A,
+    so the product stays a GEMM (numpy takes a @ a.T to SYRK).
     """
     ls = np.asarray(spec.lengthscales)
     a = A / ls
     b = B / ls
-    d2 = np.matmul(a, b.T, out=out)
-    d2 *= -2.0
+    d2 = np.matmul(a, (b * -2.0).T, out=out)
     na, nb = np.sum(a * a, axis=1), np.sum(b * b, axis=1)
     rows = max(1, _SQDIST_BLOCK // max(1, nb.size))
+    norms = np.empty((min(rows, na.size), nb.size))
     for lo in range(0, na.size, rows):
-        d2[lo:lo + rows] += na[lo:lo + rows, None] + nb
-    return np.maximum(d2, 0.0, out=d2)
+        block = d2[lo:lo + rows]
+        block += np.add(na[lo:lo + rows, None], nb, out=norms[: block.shape[0]])
+        np.maximum(block, 0.0, out=block)
+        if finish is not None:
+            finish(block)
+    return d2
 
 
 def _as_points(dim: int, X) -> np.ndarray:
@@ -139,23 +146,27 @@ def kernel_matrix(spec: KernelSpec, A, B=None, *, out: np.ndarray | None = None)
     C-ordered float (len(A), len(B)) array that receives the result."""
     A = _as_points(spec.dim, A)
     B = A if B is None else _as_points(spec.dim, B)
-    # in place, in the order of v exp(-d2/2), v (1 + z) exp(-z) and
-    # v ((1 + z) + z^2/3) exp(-z)
-    K = _scaled_sqdist(spec, A, B, out)
+    return _scaled_sqdist(spec, A, B, out, functools.partial(_apply_kernel, spec))
+
+
+def _apply_kernel(spec: KernelSpec, d2: np.ndarray) -> None:
+    """The kernel at the squared scaled distances d2, in place, in the order
+    of v exp(-d2/2), v (1 + z) exp(-z) and v ((1 + z) + z^2/3) exp(-z); v = 1
+    is not multiplied."""
     if spec.family == "se":
-        K *= -0.5
-        np.exp(K, out=K)
-        K *= spec.variance
-        return K
-    z = np.sqrt(K, out=K)
+        d2 *= -0.5
+        np.exp(d2, out=d2)
+        if spec.variance != 1.0:
+            d2 *= spec.variance
+        return
+    z = np.sqrt(d2, out=d2)
     z *= math.sqrt(3.0 if spec.nu == 1.5 else 5.0)
     poly = z + 1.0
     if spec.nu == 2.5:
         poly += z * z / 3.0
     poly *= spec.variance
-    K = np.exp(np.negative(z, out=z), out=z)
-    K *= poly
-    return K
+    np.exp(np.negative(z, out=z), out=z)
+    z *= poly
 
 
 # ---------------------------------------------------------------------------

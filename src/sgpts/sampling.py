@@ -18,14 +18,15 @@ u = m, w = 0 gives exactly the model mean for every alpha.
 Work is split by what it depends on.  Per model: the root R of S = R R^T
 from eigh(S), which the model computes on its first draw and keeps.  Per
 DrawSetup (model, feature map, alpha): the checks on alpha and on the map,
-sqrt(lambda), and for points Phi = Phi(Z).  Per draw: the RNG calls for w and
-u.  Per batch of k draws: u = m + Xi R^T and the prior part
-(sqrt(lambda) w) (alpha Phi) as two products, then one solve with k
-right-hand sides; one draw is the batch k = 1.  Per set of evaluation
-points: F = fm.features(X) (M x n).  Per chunk of points: U_c = k(X_c, Z)
-(n_c x m) for points, or the transpose of F_c's leading m rows for
-features.  DrawSetup.values scores a chunk of k draws into k rows of the
-result, a chunk of points c at a time, as
+sqrt(lambda), and for points Phi = Phi(Z).  Per draw: the RNG calls for w
+and u, in _normals, which reads only the seeds and sizes.  Per batch of k
+draws: u = m + Xi R^T and the prior part (sqrt(lambda) w) (alpha Phi) as
+two products, then one solve with k right-hand sides; one draw is the
+batch k = 1.  Per set of evaluation points: F = fm.features(X) (M x n).
+Per chunk of points: U_c = k(X_c, Z) (n_c x m) for points, or the
+transpose of F_c's leading m rows for features.  DrawSetup.values scores
+a chunk of k draws into k rows of the result, a chunk of points c at a
+time, as
 
     out_c = W F_c;  out_c *= alpha (when alpha != 1);  out_c += (U_c V)^T
 
@@ -38,7 +39,8 @@ The chunks of points, and the threads that take them, are util.over_chunks',
 which documents why the values keep their bits; cli's multi-seed pool
 workers score on one thread each.  The RFF feature rows of a grid are
 filled in the same chunks.  select_batch evaluates Phi(Z) beside the root
-of S through util.together, which takes the pool where over_chunks does.
+of S and the draws' normals through util.together, which takes the pool
+where over_chunks does.
 
 In a run, fm.features is asked for the candidate grid once per distinct
 grid (the grid stops changing once it is capped), so its memo keeps only the
@@ -106,16 +108,30 @@ class DrawSetup:
         self.rootlam = np.sqrt(fm.lambdas)
         self.Phi = _features_at(fm, model.Z, Phi) if model.variant == "points" else None
 
-    def _draws(self, rngs) -> tuple[np.ndarray, np.ndarray]:
-        """One draw per generator, as rows: sqrt(lambda) w (k x M) and v (k x m).
-        Each generator is consumed in the order w then u."""
+    def values(self, X, seeds, *, F: np.ndarray | None = None) -> np.ndarray:
+        """Row b: the draw of generator np.random.default_rng(seeds[b]) at the rows of X.
+
+        F, when given, must be fm.features(X); a caller that holds it skips
+        the evaluation.  Per chunk of draws, W capped at _CHUNK_CELLS cells:
+        the chunk's _normals, then _into.  A chunk of k > 1 draws equals k
+        chunks of one up to the summation order of the products and the solve.
+        """
+        X = _as_points(self.fm.dim, X)
+        F = _features_at(self.fm, X, F)
+        chunk = max(1, _CHUNK_CELLS // self.fm.count)
+        out = np.empty((len(seeds), X.shape[0]))
+        for lo in range(0, len(seeds), chunk):
+            normals = _normals(seeds[lo:lo + chunk], self.fm.count, self.model.m_count)
+            self._into(X, F, *normals, out[lo:lo + chunk])
+        return out
+
+    def _into(self, X: np.ndarray, F: np.ndarray, w: np.ndarray, xi: np.ndarray,
+              out: np.ndarray) -> None:
+        """The draws of _normals' rows (w, xi) at the rows of X, whose features
+        are F, into the rows of out: sqrt(lambda) w, made in place in w, and
+        v, one row per draw, then _score."""
         model, alpha, m = self.model, self.alpha, self.model.m_count
-        rootlam_w = np.empty((len(rngs), self.fm.count))
-        xi = np.empty((len(rngs), m))
-        for j, rng in enumerate(rngs):
-            rootlam_w[j] = rng.standard_normal(self.fm.count)
-            xi[j] = rng.standard_normal(m)
-        rootlam_w *= self.rootlam
+        rootlam_w = np.multiply(w, self.rootlam, out=w)
         u = model.m_vec + xi @ model._s_root.T
         centered = alpha * (u - model.m_vec) + model.m_vec
         if model.variant == "points":
@@ -124,33 +140,25 @@ class DrawSetup:
             rhs = centered - rootlam_w @ (alpha * self.Phi)
             v = cho_solve((model._chol_P, True), rhs.T).T
         else:
-            v = (centered - alpha * rootlam_w[:, :m]) / model.feature_map.lambdas[:m]
-        return rootlam_w, v
+            # v = Lambda_m^{-1} (...), then times Lambda_m for the update basis
+            # phi_m: two roundings that recorded logs carry
+            lam = model.feature_map.lambdas[:m]
+            v = lam * ((centered - alpha * rootlam_w[:, :m]) / lam)
+        # V one column per draw, C-ordered: BLAS may sum a Fortran-ordered
+        # operand differently
+        _score(model, alpha, X, F, rootlam_w, np.ascontiguousarray(v.T), out)
 
-    def values(self, X, seeds, *, F: np.ndarray | None = None) -> np.ndarray:
-        """Row b: the draw of generator np.random.default_rng(seeds[b]) at the rows of X.
 
-        F, when given, must be fm.features(X); a caller that holds it skips
-        the evaluation.  Per chunk of draws, W capped at _CHUNK_CELLS cells:
-        one call of _draws, then _score of its sqrt(lambda) w rows and V at
-        the points.  A chunk of k > 1 draws equals k chunks of one up to the
-        summation order of the products and the solve.
-        """
-        X = _as_points(self.fm.dim, X)
-        F = _features_at(self.fm, X, F)
-        model = self.model
-        chunk = max(1, _CHUNK_CELLS // self.fm.count)
-        out = np.empty((len(seeds), X.shape[0]))
-        for lo in range(0, len(seeds), chunk):
-            block = seeds[lo:lo + chunk]
-            W, v = self._draws([np.random.default_rng(s) for s in block])
-            if model.variant == "features":
-                v = model.feature_map.lambdas[: model.m_count] * v
-            # V one column per draw, C-ordered: BLAS may sum a Fortran-ordered
-            # operand differently
-            _score(model, self.alpha, X, F, W, np.ascontiguousarray(v.T),
-                   out[lo:lo + len(block)])
-        return out
+def _normals(seeds, M: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The standard normals of the draws of seeds, one row per seed: generator
+    np.random.default_rng(seed) gives its M prior weights w, then the m
+    normals xi of its u.  They depend on the seeds and sizes alone."""
+    w, xi = np.empty((len(seeds), M)), np.empty((len(seeds), m))
+    for j, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        w[j] = rng.standard_normal(M)
+        xi[j] = rng.standard_normal(m)
+    return w, xi
 
 
 def _score(model: SvgpModel, alpha: float, X: np.ndarray, F: np.ndarray, W: np.ndarray,
@@ -325,20 +333,27 @@ def select_batch(
     the argmax resolve to the lowest grid index.  F, when given, must be
     fm.features(grid.points); a caller whose grid repeats across steps
     passes it to skip the re-evaluation.  Phi goes to DrawSetup, which
-    documents it; when a points model comes without it, util.together
-    runs fm.features(model.Z) beside the model's root of S.  The B draws are
-    scored by DrawSetup.values into a B x n_points values matrix, in one
-    chunk of draws (its cap holds far more than B draws of any map used
-    here) and the module's chunks of points.  The argmax runs along each
-    draw's contiguous row.
+    documents it; when a points model comes without it, util.together runs
+    fm.features(model.Z) beside the model's root of S and the draws'
+    _normals, which depend on the seeds alone.  The B draws are scored by
+    DrawSetup._into into a B x n_points values matrix, as one chunk of draws
+    (DrawSetup.values' chunk for any B up to 2^22 / M) and in the module's
+    chunks of points.  The argmax runs along each draw's contiguous row.
     """
     if B < 1:
         raise InvalidInputError("B must be >= 1")
+    X = _as_points(fm.dim, grid.points)
     seeds = [derive_seed(step_seed, b) for b in range(B)]
-    # Phi(Z) beside the root of S, which the model computes here and keeps
+    draw_normals = functools.partial(_normals, seeds, fm.count, model.m_count)
     if Phi is None and model.variant == "points":
-        _, Phi = together(grid.n_points, lambda: model._s_root,
-                          functools.partial(fm.features, model.Z))
+        # the root of S, which the model computes here and keeps, and the
+        # normals beside Phi(Z)
+        (_, normals), Phi = together(X.shape[0], lambda: (model._s_root, draw_normals()),
+                                     functools.partial(fm.features, model.Z))
+    else:
+        normals = draw_normals()
     setup = DrawSetup(model, fm, alpha, Phi=Phi)
-    idx = np.argmax(setup.values(grid.points, seeds, F=F), axis=1)
+    values = np.empty((B, X.shape[0]))
+    setup._into(X, _features_at(fm, X, F), *normals, values)
+    idx = np.argmax(values, axis=1)
     return grid.points[idx], idx

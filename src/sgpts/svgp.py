@@ -334,10 +334,10 @@ def select_inducing_kmeans(data: Dataset, m: int, seed: int) -> np.ndarray:
     Centers have the arithmetic of ndarray.mean under a boolean mask per
     cluster: add.reduce of the cluster's rows, then one true divide by its
     count.  For d >= 2 add.reduce(axis=0) adds the rows in index order to
-    0.0, its identity (so a sum of -0.0s is 0.0), and one np.add.at of the
-    rows, sorted stably by cluster, into zeros gives those sums.  At d = 1
-    numpy sums the column pairwise, so each cluster's slice is add.reduce'd
-    on its own.
+    0.0, its identity (so a sum of -0.0s is 0.0), and np.bincount of each
+    coordinate, weighted by the rows in index order, gives those sums.  At
+    d = 1 numpy sums the column pairwise, so each cluster's slice, of the
+    rows sorted stably by cluster, is add.reduce'd on its own.
     """
     uniq = data.distinct_rows
     if m > uniq.shape[0]:
@@ -362,12 +362,12 @@ def select_inducing_kmeans(data: Dataset, m: int, seed: int) -> np.ndarray:
                 worst = int(np.argmax(far))
                 counts[assign[worst]] -= 1
                 assign[worst], counts[c] = c, 1
-        # stable sort: each cluster's rows stay in index order, as under a mask
-        order = np.argsort(assign, kind="stable")
         if d >= 2:
-            centers = np.zeros((m, d))
-            np.add.at(centers, assign[order], X[order])
+            centers = np.stack([np.bincount(assign, weights=X[:, k], minlength=m)
+                                for k in range(d)], axis=1)
         else:
+            # stable sort: each cluster's rows stay in index order, as under a mask
+            order = np.argsort(assign, kind="stable")
             Xs, ends = X[order], np.cumsum(counts)
             for c in range(m):
                 centers[c] = np.add.reduce(Xs[ends[c] - counts[c]:ends[c]], axis=0)

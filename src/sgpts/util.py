@@ -116,15 +116,19 @@ def over_chunks(n: int, fn, scratch: tuple | None = None) -> None:
 
     buf is None, or with scratch = (rows, cols) the share's own buffer of
     shape (min(rows, widest chunk), cols).  The buffers are made here, on
-    the calling thread: made on a worker, a buffer would stay resident in
-    that thread's malloc arena between calls.
+    the calling thread (made on a worker, a buffer would stay resident in
+    that thread's malloc arena between calls), as one array.  glibc's malloc
+    keeps a freed block of that size in its heap for the next call; freed
+    one by one, a run's per-step buffers came back as fresh pages, each
+    faulted in on first touch (about 800 a step for hartmann6.cfg's two
+    4000 x 100 buffers at grid_cap=8000).
     """
     k = max(1, n // _GRID_CHUNK)
     spans = [(i * n // k, (i + 1) * n // k) for i in range(k)]
     threads = _spread(n)
     width = max(hi - lo for lo, hi in spans)
-    bufs = [None if scratch is None else np.empty((min(scratch[0], width), scratch[1]))
-            for _ in range(threads)]
+    bufs = [None] * threads if scratch is None else list(
+        np.empty((threads, min(scratch[0], width), scratch[1])))
 
     def share(t: int) -> None:
         for lo, hi in spans[t::threads]:

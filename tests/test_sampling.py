@@ -546,25 +546,32 @@ class TestGridChunks:
 
     def test_phi_of_z_beside_the_root_of_s(self, chunk_grids, monkeypatch):
         # on two chunks Phi(Z) runs on a pool thread while the caller takes
-        # the root of S; the picks keep their bits, also when select_batch is
-        # itself a pool task, which then takes Phi(Z) and its chunks inline
+        # the root of S and the draws' normals; the picks keep their bits, and
+        # are the argmax of DrawSetup.values, also when select_batch is itself
+        # a pool task, which then takes Phi(Z), the normals and its chunks inline
         rng = np.random.default_rng(9)
         X = rng.uniform(0.0, 1.0, size=(60, 6))
         data = Dataset(X, rng.normal(size=60), 1, 60)
         pts, F = chunk_grids["rff", 8000]
         grid = sampling.Discretization(points=pts, capped=True, density_const=1.0)
-        threads, features = [], FeatureMap.features
+        threads, features, normals = [], FeatureMap.features, sampling._normals
 
         def recorded(fm, Z):
-            threads.append(threading.current_thread().name)
+            threads.append(("features", threading.current_thread().name))
             return features(fm, Z)
 
+        def recorded_normals(*args):
+            threads.append(("normals", threading.current_thread().name))
+            return normals(*args)
+
         monkeypatch.setattr(FeatureMap, "features", recorded)
-        picks = []
+        monkeypatch.setattr(sampling, "_normals", recorded_normals)
+        picks, where = [], []
         for n_threads, pooled in ((1, False), (2, False), (2, True)):
             monkeypatch.setattr(util, "_grid_threads", lambda: n_threads)
             # a fresh model each time, so each call takes its own root of S
             args = (fit_svgp_closed_form(data, SE6, 0.1, Z=X[:20]), RFF6, grid, 8, 1.3, 4)
+            threads.clear()
             if pooled:
                 # in a forked child, killed after a timeout: a pool task that
                 # waited on its own pool would otherwise hang the test run
@@ -573,9 +580,15 @@ class TestGridChunks:
                 picks.append(idx)
             else:
                 picks.append(select_batch(*args, F=F)[1])
+            where.append(sorted((what, name.startswith("sgpts-grid")) for what, name in threads))
         assert np.array_equal(picks[0], picks[1]) and np.array_equal(picks[0], picks[2])
+        values = DrawSetup(args[0], RFF6, 1.3).values(pts, [derive_seed(4, b) for b in range(8)],
+                                                     F=F)
+        assert np.array_equal(picks[0], np.argmax(values, axis=1))
         # the pooled call also evaluates the grid's features, on the pool thread
-        assert [t.startswith("sgpts-grid") for t in threads] == [False, True, True, True]
+        assert where == [[("features", False), ("normals", False)],
+                         [("features", True), ("normals", False)],
+                         [("features", True), ("features", True), ("normals", True)]]
 
     def test_forked_child_scores_on_its_own_pool(self):
         # the parent's pool has a worker thread, which a forked child does not

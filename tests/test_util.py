@@ -82,6 +82,7 @@ class TestOverChunks:
         assert not out[:4000].any() and out[4000:].all()
 
     def test_scratch_is_made_on_the_calling_thread(self, monkeypatch):
+        # as one array, which holds every share's buffer
         monkeypatch.setattr(util, "_grid_threads", lambda: 3)
         makers, empty = [], np.empty
 
@@ -90,10 +91,14 @@ class TestOverChunks:
             return empty(*args, **kwargs)
 
         monkeypatch.setattr(util.np, "empty", counted)
-        threads = []
-        util.over_chunks(12289, lambda lo, hi, buf: threads.append(threading.get_ident()),
-                         scratch=(12289, 4))
-        assert makers == [threading.get_ident()] * 3
+        threads, bases = [], set()
+
+        def fn(lo, hi, buf):
+            threads.append(threading.get_ident())
+            bases.add(id(buf.base))
+
+        util.over_chunks(12289, fn, scratch=(12289, 4))
+        assert makers == [threading.get_ident()] and len(bases) == 1
         assert len(threads) == 3 and len(set(threads)) >= 2
 
 
